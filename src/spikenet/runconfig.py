@@ -139,29 +139,23 @@ class RunConfig:
         if prefix + "inputs" not in self.data:
             return None
         counts = parse_architecture(self.architecture).neuron_counts
-        inputs = read_events(self._resolve(prefix + "inputs"), neuron_count=counts[0])
+        inputs_path = self._resolve(prefix + "inputs")
+        # train_count pins the pairing even if trailing samples are silent
         if self.loss.mode == "precise":
             if prefix + "targets" not in self.data:
                 raise ConfigError(f"precise loss needs '{prefix}targets' in [data]")
-            # train_count pins the pairing even if trailing targets are silent
+            inputs = read_events(inputs_path, neuron_count=counts[0])
             targets = read_events(
                 self._resolve(prefix + "targets"),
                 neuron_count=counts[-1],
                 train_count=len(inputs.trains),
             )
-            if len(targets.trains) != len(inputs.trains):
-                raise ConfigError(
-                    f"{len(inputs.trains)} inputs but {len(targets.trains)} targets"
-                )
             samples = list(zip(inputs.trains, targets.trains))
             return Dataset(samples, class_count=0)
         if prefix + "labels" not in self.data:
             raise ConfigError(f"count loss needs '{prefix}labels' in [data]")
         labels = _read_labels(self._resolve(prefix + "labels"))
-        if len(labels) != len(inputs.trains):
-            raise ConfigError(
-                f"{len(inputs.trains)} inputs but {len(labels)} labels"
-            )
+        inputs = read_events(inputs_path, neuron_count=counts[0], train_count=len(labels))
         classes = int(self.data.get("classes", max(labels) + 1))
         return Dataset(list(zip(inputs.trains, labels)), class_count=classes)
 

@@ -12,7 +12,7 @@ generate -> discretize -> export round-trips exactly.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,8 @@ from .errors import (
 )
 
 _EVENT_DTYPE = np.dtype([("neuron", "<u4"), ("time", "<f8"), ("label", "<i4")])
+# Unsigned labels make the C parser reject a negative label with its line.
+_CSV_DTYPE = np.dtype([("neuron", "<i8"), ("time", "<f8"), ("label", "<u4")])
 _BINARY_MAGIC = b"SLYR"
 _BINARY_VERSION = 1
 _CSV_HEADER = "neuron,time_ms,label"
@@ -56,44 +58,90 @@ class SimConfig:
         n = int(np.floor(time_ms / self.ts_ms))
         return min(max(n, 0), self.n_samples - 1)
 
-    def bin_center(self, n: int) -> float:
+    def bin_center(self, n):
+        """Center time of bin ``n``, an int or an integer array."""
         return (n + 0.5) * self.ts_ms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpikeTrain:
     """Discrete spike events over a set of neurons.
 
-    ``events`` is a tuple of (neuron_index, time_ms) pairs, kept sorted
-    by (time, neuron).  The constructor normalizes ordering and rejects
-    out-of-range neuron indices and negative times.
+    The events are stored once, as two read-only arrays sorted by
+    (time, neuron): ``neurons`` (indices) and ``times`` (ms).  The
+    constructor takes (neuron_index, time_ms) pairs or an (n, 2) array
+    of them, and rejects out-of-range or fractional neuron indices and
+    negative or non-finite times.
     """
 
     neuron_count: int
-    events: tuple = ()
+    neurons: np.ndarray
+    times: np.ndarray
 
-    def __post_init__(self):
-        if int(self.neuron_count) < 1:
+    def __init__(self, neuron_count: int, events=()):
+        count = int(neuron_count)
+        if count < 1:
             raise ParameterError("neuron_count must be >= 1")
-        object.__setattr__(self, "neuron_count", int(self.neuron_count))
-        evts = []
-        for neuron, time in self.events:
-            neuron, time = int(neuron), float(time)
-            if not 0 <= neuron < self.neuron_count:
-                raise ParameterError(
-                    f"neuron index {neuron} outside [0, {self.neuron_count})"
-                )
-            if time < 0.0:
-                raise ParameterError(f"negative spike time {time}")
-            evts.append((neuron, time))
-        evts.sort(key=lambda e: (e[1], e[0]))
-        object.__setattr__(self, "events", tuple(evts))
+        if not isinstance(events, np.ndarray):
+            events = list(events)  # any iterable of pairs, generators included
+        try:
+            pairs = np.asarray(events, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"events must be (neuron, time) pairs: {exc}") from exc
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ParameterError(f"events must be (neuron, time) pairs, not shape {pairs.shape}")
+        index, times = pairs[:, 0], pairs[:, 1]
+        valid = (index >= 0.0) & (index < count) & (index == np.floor(index))
+        valid &= (times >= 0.0) & (times < np.inf)
+        if not valid.all():
+            first = np.argmin(valid)
+            _reject_event(index[first], times[first], count)
+        neurons = index.astype(np.intp)
+        step = np.diff(times)
+        if np.all(step >= 0.0) and np.all(np.diff(neurons)[step == 0.0] >= 0):
+            times = times.copy()  # sorted, as readers and generators give them
+        else:
+            order = np.lexsort((neurons, times))
+            neurons, times = neurons[order], times[order]
+        neurons.flags.writeable = False
+        times.flags.writeable = False
+        object.__setattr__(self, "neuron_count", count)
+        object.__setattr__(self, "neurons", neurons)
+        object.__setattr__(self, "times", times)
+
+    @property
+    def events(self) -> tuple:
+        """The (neuron_index, time_ms) pairs, in (time, neuron) order."""
+        return tuple(zip(self.neurons.tolist(), self.times.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, SpikeTrain):
+            return NotImplemented
+        return (
+            self.neuron_count == other.neuron_count
+            and np.array_equal(self.neurons, other.neurons)
+            and np.array_equal(self.times, other.times)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.neuron_count, len(self)))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self.times.size
 
     def times_of(self, neuron: int) -> np.ndarray:
-        return np.array([t for n, t in self.events if n == neuron], dtype=float)
+        return self.times[self.neurons == neuron]
+
+
+def _reject_event(neuron: float, time: float, count: int):
+    if not 0 <= neuron < count:
+        raise ParameterError(f"neuron index {neuron:.17g} outside [0, {count})")
+    if neuron != np.floor(neuron):
+        raise ParameterError(f"neuron index {neuron:.17g} is not an integer")
+    kind = "negative" if np.isfinite(time) else "non-finite"
+    raise ParameterError(f"neuron {neuron:.0f}: {kind} spike time {time}")
 
 
 @dataclass(frozen=True)
@@ -178,24 +226,26 @@ def poisson_spike_train(
         )
     rng = np.random.default_rng(seed)
     hits = rng.random((channels, config.n_samples)) < p
-    chans, bins = np.nonzero(hits)
-    events = [(int(c), config.bin_center(int(n))) for c, n in zip(chans, bins)]
-    return SpikeTrain(channels, tuple(events))
+    bins, chans = np.nonzero(hits.T)  # (time, neuron) order
+    return SpikeTrain(channels, np.column_stack((chans, config.bin_center(bins))))
 
 
 def spikes_to_signal(train: SpikeTrain, config: SimConfig) -> SampledSignal:
     """Lay a spike train onto the sampling grid with amplitude 1/Ts per event."""
     values = np.zeros((train.neuron_count, config.n_samples))
-    if train.events:
-        neurons = np.fromiter((n for n, _ in train.events), dtype=np.intp)
-        times = np.fromiter((t for _, t in train.events), dtype=float)
-        if times.size and (times.min() < 0.0 or times.max() > config.t_ms):
-            bad = times.min() if times.min() < 0.0 else times.max()
-            raise RangeError(f"event time {bad} outside window [0, {config.t_ms}]")
-        bins = np.clip(
-            np.floor(times / config.ts_ms).astype(np.intp), 0, config.n_samples - 1
+    if len(train):
+        # times are sorted and nonnegative: the last is the latest, and
+        # truncation is floor
+        if train.times[-1] > config.t_ms:
+            raise RangeError(
+                f"event time {train.times[-1]} outside window [0, {config.t_ms}]"
+            )
+        bins = np.minimum(
+            (train.times / config.ts_ms).astype(np.intp), config.n_samples - 1
         )
-        np.add.at(values, (neurons, bins), 1.0 / config.ts_ms)
+        # a flat index is several times faster in np.add.at than an index pair
+        flat = train.neurons * config.n_samples + bins
+        np.add.at(values.reshape(-1), flat, 1.0 / config.ts_ms)
     return SampledSignal(values, config.ts_ms)
 
 
@@ -213,37 +263,40 @@ def signal_to_spikes(signal: SampledSignal, config: SimConfig) -> SpikeTrain:
         raise FormatError(
             f"sample ({c}, {n}) = {vals[c, n]} is neither 0 nor 1/Ts = {amp}"
         )
-    chans, bins = np.nonzero(np.abs(vals - amp) <= 1e-9)
-    events = [(int(c), config.bin_center(int(n))) for c, n in zip(chans, bins)]
-    return SpikeTrain(signal.channels, tuple(events))
+    bins, chans = np.nonzero((np.abs(vals - amp) <= 1e-9).T)  # (time, neuron) order
+    return SpikeTrain(signal.channels, np.column_stack((chans, config.bin_center(bins))))
 
 
-def _events_of(sset: SpikeTrainSet):
-    """Flatten a set into (neuron, time, label) rows, label = train index."""
-    for label, train in enumerate(sset.trains):
-        for neuron, time in train.events:
-            yield neuron, time, label
+def _records(sset: SpikeTrainSet) -> np.ndarray:
+    """Flatten a set into (neuron, time, label) records, label = train index."""
+    lengths = [len(train) for train in sset.trains]
+    rec = np.empty(sum(lengths), dtype=_EVENT_DTYPE)
+    if rec.size:
+        rec["neuron"] = np.concatenate([train.neurons for train in sset.trains])
+        rec["time"] = np.concatenate([train.times for train in sset.trains])
+        rec["label"] = np.repeat(np.arange(len(lengths)), lengths)
+    return rec
 
 
-def _set_from_rows(rows, neuron_count, train_count):
-    """Group labeled event rows back into a SpikeTrainSet."""
-    by_label: dict[int, list] = {}
-    max_neuron = -1
-    for neuron, time, label in rows:
-        by_label.setdefault(label, []).append((neuron, time))
-        max_neuron = max(max_neuron, neuron)
+def _set_from_records(path, rec, neuron_count, train_count):
+    """Group (neuron, time, label) records by label into a SpikeTrainSet."""
+    labels = rec["label"]
     if neuron_count is None:
-        neuron_count = max_neuron + 1 if max_neuron >= 0 else 1
+        neuron_count = int(rec["neuron"].max()) + 1 if rec.size else 1
+    used = int(labels.max()) + 1 if rec.size else 0
     if train_count is None:
-        train_count = (max(by_label) + 1) if by_label else 0
-    elif by_label and max(by_label) >= train_count:
+        train_count = used
+    elif used > train_count:
         raise ParseError(
-            f"event label {max(by_label)} exceeds requested train count {train_count}"
+            f"{path}: event label {used - 1} exceeds requested train count {train_count}"
         )
-    trains = [
-        SpikeTrain(neuron_count, tuple(by_label.get(i, ()))) for i in range(train_count)
-    ]
-    return SpikeTrainSet(neuron_count, tuple(trains))
+    order = np.argsort(labels, kind="stable")
+    events = np.column_stack((rec["neuron"], rec["time"]))[order]
+    bounds = np.searchsorted(labels[order], np.arange(train_count + 1))
+    trains = tuple(
+        SpikeTrain(neuron_count, events[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
+    )
+    return SpikeTrainSet(neuron_count, trains)
 
 
 def write_events(path, sset: SpikeTrainSet) -> None:
@@ -252,20 +305,18 @@ def write_events(path, sset: SpikeTrainSet) -> None:
     CSV: header ``neuron,time_ms,label`` and one decimal-formatted event
     per line.  Binary: magic ``SLYR``, version u16, neuron_count u32,
     event_count u64 and little-endian (u32, f64, i32) event records.
-    The event label is the index of its train within the set.
+    The event label is the index of its train within the set; a silent
+    train leaves no record.
     """
     path = Path(path)
-    rows = list(_events_of(sset))
+    rec = _records(sset)
     if path.suffix.lower() == ".csv":
-        lines = [_CSV_HEADER]
-        lines += [f"{n},{t!r},{label}" for n, t, label in rows]
-        path.write_text("\n".join(lines) + "\n")
+        rows = zip(rec["neuron"].tolist(), rec["time"].tolist(), rec["label"].tolist())
+        body = "".join(f"{n},{t!r},{label}\n" for n, t, label in rows)
+        path.write_text(_CSV_HEADER + "\n" + body)
         return
-    rec = np.zeros(len(rows), dtype=_EVENT_DTYPE)
-    for i, (n, t, label) in enumerate(rows):
-        rec[i] = (n, t, label)
     header = _BINARY_MAGIC + struct.pack(
-        "<HIQ", _BINARY_VERSION, sset.neuron_count, len(rows)
+        "<HIQ", _BINARY_VERSION, sset.neuron_count, rec.size
     )
     path.write_bytes(header + rec.tobytes())
 
@@ -274,8 +325,8 @@ def read_events(path, neuron_count=None, train_count=None) -> SpikeTrainSet:
     """Read a spike-train set written by :func:`write_events`.
 
     The binary format stores its own neuron count; for CSV it is inferred
-    as max index + 1 unless given.  ``train_count`` pads trailing empty
-    trains that carry no events of their own.
+    as max index + 1 unless given.  ``train_count`` pads trailing silent
+    trains, which leave no events in the file.
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -283,23 +334,40 @@ def read_events(path, neuron_count=None, train_count=None) -> SpikeTrainSet:
     return _read_events_binary(path, neuron_count, train_count)
 
 
+def _parse_csv_rows(lines) -> np.ndarray:
+    """CSV event lines as records; blank lines are skipped."""
+    rows = [line for line in lines if line.strip()]
+    if not rows:
+        return np.empty(0, dtype=_CSV_DTYPE)
+    return np.loadtxt(rows, delimiter=",", dtype=_CSV_DTYPE, comments=None, ndmin=1)
+
+
+def _first_bad_line(lines) -> int:
+    """Line number of the first body line of ``lines`` that fails to parse."""
+    good, bad = 1, len(lines)  # lines[1:good] parse, lines[1:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _parse_csv_rows(lines[1:mid])
+            good = mid
+        except ValueError:
+            bad = mid
+    return bad
+
+
 def _read_events_csv(path, neuron_count, train_count):
-    text = path.read_text()
-    lines = text.splitlines()
+    lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ParseError(f"{path}: line 1: expected header '{_CSV_HEADER}'")
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}: line {i}: expected 3 fields, got {len(parts)}")
-        try:
-            rows.append((int(parts[0]), float(parts[1]), int(parts[2])))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {i}: {exc}") from exc
-    return _set_from_rows(rows, neuron_count, train_count)
+    try:
+        rec = _parse_csv_rows(lines[1:])
+    except ValueError:
+        i = _first_bad_line(lines)
+        raise ParseError(
+            f"{path}: line {i}: expected an integer neuron, a time and a "
+            f"label >= 0, got {lines[i - 1]!r}"
+        ) from None
+    return _set_from_records(path, rec, neuron_count, train_count)
 
 
 def _read_events_binary(path, neuron_count, train_count):
@@ -318,7 +386,13 @@ def _read_events_binary(path, neuron_count, train_count):
             f"{path}: offset {len(blob)}: expected {expected} bytes for {n_events} events"
         )
     rec = np.frombuffer(blob, dtype=_EVENT_DTYPE, count=n_events, offset=head)
-    rows = [(int(r["neuron"]), float(r["time"]), int(r["label"])) for r in rec]
+    negative = np.flatnonzero(rec["label"] < 0)
+    if negative.size:
+        i = negative[0]
+        raise ParseError(
+            f"{path}: offset {head + i * _EVENT_DTYPE.itemsize}: "
+            f"negative label {rec['label'][i]}"
+        )
     if neuron_count is None:
         neuron_count = stored_count
-    return _set_from_rows(rows, neuron_count, train_count)
+    return _set_from_records(path, rec, neuron_count, train_count)

@@ -2,8 +2,15 @@
 
 import pytest
 
-from spikenet import load_config
-from spikenet.errors import ConfigError
+from spikenet import (
+    SimConfig,
+    SpikeTrain,
+    SpikeTrainSet,
+    load_config,
+    poisson_spike_train,
+    write_events,
+)
+from spikenet.errors import ConfigError, ParseError
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -128,3 +135,49 @@ method = {method}
     adam = load_config(_write(tmp_path, base.format(method="adam"), "adam.cfg"))
     assert sgd.optimizer_method == "sgd"
     assert sgd.learning_rate > adam.learning_rate
+
+
+def _count_config(tmp_path, inputs_name):
+    return _write(tmp_path, f"""
+[network]
+architecture = 4-3
+
+[simulation]
+t_ms = 20
+ts_ms = 1
+
+[loss]
+mode = count
+true_count = 4
+false_count = 1
+
+[data]
+inputs = {inputs_name}
+labels = labels.txt
+""")
+
+
+@pytest.mark.parametrize("name", ["inputs.csv", "inputs.slyr"])
+def test_count_dataset_keeps_trailing_silent_samples(tmp_path, name):
+    sim = SimConfig(20.0, 1.0)
+    trains = (
+        poisson_spike_train(4, 200.0, sim, 1),
+        poisson_spike_train(4, 200.0, sim, 2),
+        SpikeTrain(4, ()),
+    )
+    write_events(tmp_path / name, SpikeTrainSet(4, trains))
+    (tmp_path / "labels.txt").write_text("0\n2\n1\n")
+    data = load_config(_count_config(tmp_path, name)).load_dataset()
+    assert len(data) == 3
+    assert [train for train, _ in data.samples] == list(trains)
+    assert [label for _, label in data.samples] == [0, 2, 1]
+
+
+@pytest.mark.parametrize("name", ["inputs.csv", "inputs.slyr"])
+def test_count_dataset_rejects_more_trains_than_labels(tmp_path, name):
+    sim = SimConfig(20.0, 1.0)
+    trains = tuple(poisson_spike_train(4, 200.0, sim, seed) for seed in range(3))
+    write_events(tmp_path / name, SpikeTrainSet(4, trains))
+    (tmp_path / "labels.txt").write_text("0\n2\n")
+    with pytest.raises(ParseError, match="label 2 exceeds requested train count 2"):
+        load_config(_count_config(tmp_path, name)).load_dataset()

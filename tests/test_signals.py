@@ -1,5 +1,7 @@
 """Spike containers, grid conversions, Poisson generation and event files."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,39 @@ def test_spike_train_rejects_bad_events():
         SpikeTrain(2, ((2, 1.0),))
     with pytest.raises(ParameterError):
         SpikeTrain(2, ((0, -1.0),))
+    with pytest.raises(ParameterError, match="not an integer"):
+        SpikeTrain(2, ((0.5, 1.0),))
+    with pytest.raises(ParameterError, match="pairs"):
+        SpikeTrain(2, ((0, 1.0, 2.0),))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_spike_train_rejects_non_finite_times(bad):
+    with pytest.raises(ParameterError, match=f"neuron 1: non-finite spike time {bad}"):
+        SpikeTrain(2, ((0, 2.5), (1, bad)))
+
+
+def test_spike_train_stores_read_only_sorted_arrays():
+    tr = SpikeTrain(3, np.array([[0, 5.5], [2, 1.25], [1, 1.25], [0, 0.0]]))
+    assert tr.neurons.tolist() == [0, 1, 2, 0]
+    assert tr.times.tolist() == [0.0, 1.25, 1.25, 5.5]
+    assert len(tr) == 4
+    assert all(type(n) is int and type(t) is float for n, t in tr.events)
+    with pytest.raises(ValueError):
+        tr.times[0] = 1.0
+    with pytest.raises(AttributeError):
+        tr.neuron_count = 4
+
+
+def test_spike_train_equality_ignores_input_form():
+    pairs = ((1, 3.0), (0, 3.0), (2, 0.5))
+    a = SpikeTrain(3, pairs)
+    b = SpikeTrain(3, np.array(pairs))
+    c = SpikeTrain(3, (pair for pair in reversed(pairs)))
+    assert a == b == c and hash(a) == hash(b)
+    assert a != SpikeTrain(4, pairs)
+    assert a != SpikeTrain(3, pairs[:2])
+    assert SpikeTrain(2, ()) == SpikeTrain(2, np.empty((0, 2)))
 
 
 def test_spikes_to_signal_amplitude_is_one_over_ts():
@@ -93,6 +128,19 @@ def test_grid_preserves_spike_count(ts_ms):
     sig = spikes_to_signal(tr, cfg)
     # integrating the signal recovers the event count exactly
     assert sig.values.sum() * ts_ms == pytest.approx(60.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("ts_ms", [1.0, 0.3])
+def test_spikes_to_signal_matches_scalar_binning(ts_ms):
+    """Repeated and coincident events add 1/Ts each, in event order."""
+    cfg = SimConfig(30.0 * ts_ms, ts_ms)
+    rng = np.random.default_rng(4)
+    events = [(int(rng.integers(0, 3)), float(rng.integers(0, 31)) * ts_ms) for _ in range(200)]
+    tr = SpikeTrain(3, events)
+    want = np.zeros((3, cfg.n_samples))
+    for neuron, time in tr.events:
+        want[neuron, cfg.bin_of(time)] += 1.0 / ts_ms
+    assert np.array_equal(spikes_to_signal(tr, cfg).values, want)
 
 
 def test_spikes_to_signal_rejects_event_past_window():
@@ -198,6 +246,35 @@ def test_csv_malformed_line(tmp_path):
         read_events(path)
 
 
+@pytest.mark.parametrize(
+    "row", ["1,oops,0", "1,2.5", "1,2.5,0,0", "1.5,2.5,0", "1,2.5,-1", "#,1,2"]
+)
+def test_csv_error_names_the_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"neuron,time_ms,label\n0,1.5,0\n\n  \n2,3.5,1\n{row}\n4,4.5,1\n")
+    with pytest.raises(ParseError, match=f"bad.csv: line 6: .*{row!r}"):
+        read_events(path)
+
+
+def test_event_file_layouts_are_pinned(tmp_path):
+    """v1 files: CSV rows and little-endian (u32, f64, i32) records, in
+    train order then (time, neuron) order; silent trains leave nothing."""
+    sset = SpikeTrainSet(3, (
+        SpikeTrain(3, ((0, 1.5), (2, 0.1))),
+        SpikeTrain(3, ()),
+        SpikeTrain(3, ((1, 12.25),)),
+    ))
+    write_events(tmp_path / "s.csv", sset)
+    assert (tmp_path / "s.csv").read_text() == (
+        "neuron,time_ms,label\n2,0.1,0\n0,1.5,0\n1,12.25,2\n"
+    )
+    write_events(tmp_path / "s.slyr", sset)
+    records = [(2, 0.1, 0), (0, 1.5, 0), (1, 12.25, 2)]
+    assert (tmp_path / "s.slyr").read_bytes() == b"SLYR" + struct.pack(
+        "<HIQ", 1, 3, 3
+    ) + b"".join(struct.pack("<Idi", *r) for r in records)
+
+
 def test_csv_header_only_is_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("neuron,time_ms,label\n")
@@ -217,6 +294,17 @@ def test_binary_bad_magic(tmp_path):
         read_events(path)
 
 
+def test_binary_negative_label_names_the_record(tmp_path):
+    path = tmp_path / "neg.slyr"
+    write_events(path, SpikeTrainSet(2, (SpikeTrain(2, ((0, 1.5), (1, 2.5), (0, 3.5))),)))
+    blob = bytearray(path.read_bytes())
+    head, size = 18, 16  # header, then (u32 neuron, f64 time, i32 label) records
+    blob[head + size + 12 : head + 2 * size] = struct.pack("<i", -1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match=f"neg.slyr: offset {head + size}: negative label -1"):
+        read_events(path)
+
+
 def test_binary_truncated(tmp_path):
     path = tmp_path / "cut.slyr"
     write_events(path, _random_set(1))
@@ -229,11 +317,11 @@ def test_binary_truncated(tmp_path):
 def test_read_events_pads_trailing_silent_trains(tmp_path):
     """A trailing all-silent train leaves no rows in the file, so the
     reader needs the expected count to restore the pairing."""
-    path = tmp_path / "pad.csv"
     sset = SpikeTrainSet(3, (SpikeTrain(3, ((0, 1.5),)), SpikeTrain(3, ())))
-    write_events(path, sset)
-    assert len(read_events(path).trains) == 1
-    assert len(read_events(path, train_count=2).trains) == 2
+    for path in (tmp_path / "pad.csv", tmp_path / "pad.slyr"):
+        write_events(path, sset)
+        assert len(read_events(path).trains) == 1
+        assert read_events(path, neuron_count=3, train_count=2) == sset
 
 
 def test_read_events_rejects_label_beyond_train_count(tmp_path):
