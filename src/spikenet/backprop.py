@@ -16,7 +16,6 @@ which finite differences verify to high accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -175,13 +174,15 @@ def delay_gradient(
     epsilon_dot: Kernel,
     delays: np.ndarray,
     ts: float,
+    events=None,
 ) -> np.ndarray:
     """Per-neuron -integral of the response time-derivative against the error.
 
     Moving a delay later shifts the response right; the sign makes the
-    gradient point toward increasing loss as delays grow.
+    gradient point toward increasing loss as delays grow.  ``events`` are
+    the spike events of s, as in :func:`convolve_values`.
     """
-    adot = convolve_values(s.values, epsilon_dot, np.asarray(delays, dtype=np.float64))
+    adot = convolve_values(s.values, epsilon_dot, np.asarray(delays, dtype=np.float64), events)
     return -ts * np.sum(adot * e.values, axis=1)
 
 
@@ -225,7 +226,7 @@ def backward(
         e = backprop_error(net, t, delta)
         errors[t] = e
         delay_grads[t] = delay_gradient(
-            e, cache.spikes[t], eps_dot, net.params[t].delays, ts
+            e, cache.spikes[t], eps_dot, net.params[t].delays, ts, cache.events[t]
         )
     grads = Gradients(weight_grads, delay_grads)
     for t in range(n_t):
@@ -248,7 +249,8 @@ def soft_forward(net: Network, spikes: SpikeTrain, surrogate: SurrogateConfig) -
             f"{net.layer_sizes[0]}"
         )
     s = spikes_to_signal(spikes, net.sim)
-    cache = SignalCache(spikes=[s], potentials=[None], responses=[], soft=True)
+    events = [None] * (net.n_transitions + 1)
+    cache = SignalCache(spikes=[s], events=events, potentials=[None], responses=[], soft=True)
     epsilon = net.epsilon
     for t in range(net.n_transitions):
         a = spike_response(cache.spikes[t], net.params[t].delays, epsilon)
@@ -256,8 +258,6 @@ def soft_forward(net: Network, spikes: SpikeTrain, surrogate: SurrogateConfig) -
         u = apply_linear(net, t, a)
         cache.spikes.append(soft_spike(u, net.neuron.theta, surrogate))
         cache.potentials.append(u)
-    out_delays = np.zeros(net.layer_sizes[-1])
-    cache.responses.append(spike_response(cache.spikes[-1], out_delays, epsilon))
     return cache
 
 
@@ -311,25 +311,3 @@ def finite_diff_gradients(
             grads.delays[t][c] = probe(params.delays, (c,))
     return grads
 
-
-def dump_trace(
-    trace: BackpropTrace, cache: SignalCache, out_dir: str | Path
-) -> list:
-    """Write per-layer e, delta, u, s matrices (one bin per column) as CSV."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    groups = [
-        ("error", trace.errors),
-        ("delta", trace.deltas),
-        ("potential", cache.potentials),
-        ("spikes", cache.spikes),
-    ]
-    for name, signals in groups:
-        for layer, sig in enumerate(signals):
-            if sig is None:
-                continue
-            path = out / f"{name}_layer{layer}.csv"
-            np.savetxt(path, sig.values, delimiter=",")
-            written.append(path)
-    return written

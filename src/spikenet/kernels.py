@@ -155,12 +155,46 @@ def _delayed_taps(kernel: Kernel, delays: np.ndarray, taps: int) -> np.ndarray:
     return kernel.evaluate(grid[None, :] - delays[:, None])
 
 
-def convolve_values(values, kernel: Kernel, delays) -> np.ndarray:
-    """out[c, n] = Ts * sum_m k(m*Ts - d_c) * values[c, n - m]; no sign check."""
+# Below this share of nonzero samples the event scatter beats the dense
+# window sum.  Measured with 21 taps on 250-8192 channels x 50-300 bins of
+# random spikes, one thread: 1.7-4.2x faster at 3 %, 1.1-2.5x at 5-6 %; on
+# 2312-8192 channels 0.9-1.1x at 7-8 % and 0.7-0.8x at 10 %.  The spike
+# signals of the nmnist_mlp and frozen_noise nets lie at 2-7 %, the 8c3 and
+# 16c3 outputs of the nmnist cnn at about 10 %.
+_SCATTER_DENSITY = 1.0 / 16.0
+
+
+def convolve_values(values, kernel: Kernel, delays, events=None) -> np.ndarray:
+    """out[c, n] = Ts * sum_m k(m*Ts - d_c) * values[c, n - m]; no sign check.
+
+    ``events``, if given, holds the flat index (c * n_samples + n) of every
+    nonzero sample of ``values`` exactly once.  Below 1/16 density the output
+    is then built by scattering each event's delayed kernel taps.  With each
+    channel's events in increasing bin order, as forward passes them, every
+    sum runs in the order of the dense window sum.
+    """
     channels, n_samples = values.shape
     delays = _delay_vector(delays, channels)
     taps = _taps(kernel, delays, n_samples)
     kd = _delayed_taps(kernel, delays, taps)
+    if events is not None and len(events) < _SCATTER_DENSITY * values.size:
+        # tap j of event (c, b) lands on flat sample c * n_samples + b + j;
+        # taps past the last bin get zero weight, so their spill into the
+        # next channel adds nothing
+        bins = events % n_samples
+        weights = kd[events // n_samples]
+        weights *= values.reshape(-1)[events][:, None]
+        late = np.flatnonzero(bins > n_samples - taps)
+        weights[late] *= np.arange(taps) < n_samples - bins[late, None]
+        out = np.bincount(
+            (events[:, None] + np.arange(taps)).reshape(-1),
+            weights=weights.reshape(-1),
+            minlength=values.size + taps - 1,
+        )
+        # bincount counts in integers when there are no events
+        out = out[: values.size].astype(np.float64, copy=False)
+        out *= kernel.ts_ms
+        return out.reshape(channels, n_samples)
     padded = np.pad(values, ((0, 0), (taps - 1, 0)))
     windows = sliding_window_view(padded, taps, axis=1)
     return kernel.ts_ms * np.einsum("cnj,cj->cn", windows, kd[:, ::-1])

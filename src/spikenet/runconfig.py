@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .kernels import NeuronConfig
 from .losses import LossSpec
 from .optim import OptimizerState
-from .signals import SimConfig, read_events
+from .signals import SimConfig, SpikeTrain, read_events
 from .topology import Network, init_network, parse_architecture
 from .trainer import Dataset, TrainConfig
 
@@ -140,21 +140,26 @@ class RunConfig:
             return None
         counts = parse_architecture(self.architecture).neuron_counts
         inputs_path = self._resolve(prefix + "inputs")
-        # train_count pins the pairing even if trailing samples are silent
         if self.loss.mode == "precise":
             if prefix + "targets" not in self.data:
                 raise ConfigError(f"precise loss needs '{prefix}targets' in [data]")
-            inputs = read_events(inputs_path, neuron_count=counts[0])
+            inputs = read_events(inputs_path, neuron_count=counts[0]).trains
             targets = read_events(
-                self._resolve(prefix + "targets"),
-                neuron_count=counts[-1],
-                train_count=len(inputs.trains),
-            )
-            samples = list(zip(inputs.trains, targets.trains))
-            return Dataset(samples, class_count=0)
+                self._resolve(prefix + "targets"), neuron_count=counts[-1]
+            ).trains
+            # a silent last train leaves no event in its file: pair on the
+            # longer file and pad the shorter one with silent trains
+            count = max(len(inputs), len(targets))
+            inputs += tuple(SpikeTrain(counts[0]) for _ in range(count - len(inputs)))
+            targets += tuple(SpikeTrain(counts[-1]) for _ in range(count - len(targets)))
+            return Dataset(list(zip(inputs, targets)), class_count=0)
         if prefix + "labels" not in self.data:
             raise ConfigError(f"count loss needs '{prefix}labels' in [data]")
-        labels = _read_labels(self._resolve(prefix + "labels"))
+        labels_path = self._resolve(prefix + "labels")
+        labels = _read_labels(labels_path)
+        if not labels:
+            raise ConfigError(f"{labels_path}: no labels")
+        # train_count pins the pairing even if trailing samples are silent
         inputs = read_events(inputs_path, neuron_count=counts[0], train_count=len(labels))
         classes = int(self.data.get("classes", max(labels) + 1))
         return Dataset(list(zip(inputs.trains, labels)), class_count=classes)

@@ -230,22 +230,24 @@ def poisson_spike_train(
     return SpikeTrain(channels, np.column_stack((chans, config.bin_center(bins))))
 
 
+def event_bins(train: SpikeTrain, config: SimConfig) -> np.ndarray:
+    """Flat sample index (neuron * n_samples + bin) of every event, in event
+    order; events sharing a bin repeat its index."""
+    if not len(train):
+        return np.zeros(0, dtype=np.intp)
+    # times are sorted and nonnegative: the last is the latest, and
+    # truncation is floor
+    if train.times[-1] > config.t_ms:
+        raise RangeError(f"event time {train.times[-1]} outside window [0, {config.t_ms}]")
+    bins = np.minimum((train.times / config.ts_ms).astype(np.intp), config.n_samples - 1)
+    return train.neurons * config.n_samples + bins
+
+
 def spikes_to_signal(train: SpikeTrain, config: SimConfig) -> SampledSignal:
     """Lay a spike train onto the sampling grid with amplitude 1/Ts per event."""
     values = np.zeros((train.neuron_count, config.n_samples))
-    if len(train):
-        # times are sorted and nonnegative: the last is the latest, and
-        # truncation is floor
-        if train.times[-1] > config.t_ms:
-            raise RangeError(
-                f"event time {train.times[-1]} outside window [0, {config.t_ms}]"
-            )
-        bins = np.minimum(
-            (train.times / config.ts_ms).astype(np.intp), config.n_samples - 1
-        )
-        # a flat index is several times faster in np.add.at than an index pair
-        flat = train.neurons * config.n_samples + bins
-        np.add.at(values.reshape(-1), flat, 1.0 / config.ts_ms)
+    # a flat index is several times faster in np.add.at than an index pair
+    np.add.at(values.reshape(-1), event_bins(train, config), 1.0 / config.ts_ms)
     return SampledSignal(values, config.ts_ms)
 
 

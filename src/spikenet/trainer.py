@@ -8,6 +8,7 @@ regardless of worker scheduling.
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -257,7 +258,10 @@ def save_checkpoint(
     net: Network, optim_state: OptimizerState | None, path: str | Path, epoch: int = 0
 ) -> None:
     """Write network parameters, neuron/grid settings, optimizer moments
-    and the epoch counter in one little-endian container."""
+    and the epoch counter in one little-endian container.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it,
+    so a failed write leaves any previous checkpoint intact."""
     chunks = [_MAGIC, struct.pack("<H", _VERSION)]
     chunks.append(_pack_str(render_architecture(net.spec)))
     chunks.append(
@@ -301,7 +305,16 @@ def save_checkpoint(
         for name, buf in buffers:
             chunks.append(_pack_str(name) + _pack_array(buf))
     chunks.append(struct.pack("<I", epoch))
-    Path(path).write_bytes(b"".join(chunks))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path):

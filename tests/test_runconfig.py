@@ -181,3 +181,45 @@ def test_count_dataset_rejects_more_trains_than_labels(tmp_path, name):
     (tmp_path / "labels.txt").write_text("0\n2\n")
     with pytest.raises(ParseError, match="label 2 exceeds requested train count 2"):
         load_config(_count_config(tmp_path, name)).load_dataset()
+
+
+def test_count_dataset_rejects_empty_labels_file(tmp_path):
+    write_events(tmp_path / "inputs.csv", SpikeTrainSet(4, ()))
+    (tmp_path / "labels.txt").write_text("")
+    with pytest.raises(ConfigError, match="labels.txt: no labels"):
+        load_config(_count_config(tmp_path, "inputs.csv")).load_dataset()
+
+
+def _precise_config(tmp_path, inputs_name, targets_name):
+    return _write(tmp_path, f"""
+[network]
+architecture = 4-3
+
+[simulation]
+t_ms = 20
+ts_ms = 1
+
+[data]
+inputs = {inputs_name}
+targets = {targets_name}
+""")
+
+
+@pytest.mark.parametrize("ext", ["csv", "slyr"])
+def test_precise_dataset_keeps_silent_last_input(tmp_path, ext):
+    inputs = (SpikeTrain(4, ((1, 2.5),)), SpikeTrain(4, ()))
+    targets = (SpikeTrain(3, ((0, 5.5),)), SpikeTrain(3, ((2, 7.5),)))
+    write_events(tmp_path / f"in.{ext}", SpikeTrainSet(4, inputs))
+    write_events(tmp_path / f"tg.{ext}", SpikeTrainSet(3, targets))
+    data = load_config(_precise_config(tmp_path, f"in.{ext}", f"tg.{ext}")).load_dataset()
+    assert data.samples == list(zip(inputs, targets))
+
+
+@pytest.mark.parametrize("ext", ["csv", "slyr"])
+def test_precise_dataset_keeps_silent_last_target(tmp_path, ext):
+    inputs = (SpikeTrain(4, ((1, 2.5),)), SpikeTrain(4, ((3, 4.5),)))
+    targets = (SpikeTrain(3, ((0, 5.5),)), SpikeTrain(3, ()))
+    write_events(tmp_path / f"in.{ext}", SpikeTrainSet(4, inputs))
+    write_events(tmp_path / f"tg.{ext}", SpikeTrainSet(3, targets))
+    data = load_config(_precise_config(tmp_path, f"in.{ext}", f"tg.{ext}")).load_dataset()
+    assert data.samples == list(zip(inputs, targets))

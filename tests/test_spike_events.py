@@ -1,0 +1,170 @@
+"""Spike events carried through the forward pass and the event scatter
+that builds sparse spike responses from them."""
+
+import numpy as np
+import pytest
+
+import spikenet.kernels
+from conftest import ref_convolve, ref_epsilon, ref_epsilon_dot, truncate_ref
+from spikenet import (
+    KernelConfig,
+    LossSpec,
+    NeuronConfig,
+    SampledSignal,
+    SimConfig,
+    SpikeTrain,
+    SurrogateConfig,
+    backward,
+    forward,
+    init_network,
+    make_epsilon,
+    make_epsilon_dot,
+    make_nu,
+    output_error,
+    parse_architecture,
+    poisson_spike_train,
+    spikes_to_signal,
+)
+from spikenet.forward import simulate_layer
+from spikenet.kernels import convolve_values
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+TAU_S = 1.7
+
+
+@st.composite
+def sparse_signals(draw):
+    """(values, events, ts): spike amplitudes k/Ts at under 1/16 of the
+    samples, where k events shared a bin; some events sit in the last bins.
+    The events come either channel-major or bin-major."""
+    ts = draw(st.sampled_from([1.0, 0.5]))
+    channels = draw(st.integers(1, 5))
+    n = draw(st.integers(16, 48))
+    limit = (channels * n - 1) // 16
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, channels - 1), st.integers(max(0, n - 3), n - 1)),
+            max_size=min(2, limit),
+        )
+    )
+    pairs += draw(
+        st.lists(
+            st.tuples(st.integers(0, channels - 1), st.integers(0, n - 1)),
+            max_size=limit - len(pairs),
+        )
+    )
+    # a repeated pair is a second event in the same bin
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    values = np.zeros((channels, n))
+    for c, b in pairs:
+        values[c, b] += 1.0 / ts
+    events = np.flatnonzero(values)
+    if draw(st.booleans()):
+        events = events[np.argsort(events % n, kind="stable")]
+    return values, events, ts
+
+
+@SETTINGS
+@given(sparse_signals(), st.data())
+def test_event_scatter_matches_dense_and_reference(signal, data):
+    values, events, ts = signal
+    assert len(events) < values.size / 16  # the scatter, not the fallback
+    use_dot = data.draw(st.booleans())
+    cfg = KernelConfig.from_neuron(NeuronConfig(10.0, TAU_S, 1.0), ts)
+    kernel = make_epsilon_dot(cfg) if use_dot else make_epsilon(cfg)
+    fn = ref_epsilon_dot if use_dot else ref_epsilon
+    ref = truncate_ref(lambda t: fn(t, TAU_S), kernel.support_end)
+    delays = np.array(
+        data.draw(
+            st.lists(
+                st.floats(0.0, 4.0, allow_nan=False),
+                min_size=len(values),
+                max_size=len(values),
+            )
+        )
+    )
+    got = convolve_values(values, kernel, delays, events)
+    np.testing.assert_allclose(got, convolve_values(values, kernel, delays), rtol=0, atol=1e-12)
+    for c in range(len(values)):
+        want = ref_convolve(values[c], ref, ts, delays[c])
+        np.testing.assert_allclose(got[c], want, rtol=0, atol=1e-12)
+
+
+def test_event_scatter_of_no_events_is_zero():
+    eps = make_epsilon(KernelConfig.from_neuron(NeuronConfig(10.0, 2.0, 1.0), 1.0))
+    events = np.zeros(0, dtype=np.intp)
+    out = convolve_values(np.zeros((3, 20)), eps, np.ones(3), events)
+    np.testing.assert_array_equal(out, np.zeros((3, 20)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_layer_events_are_its_spikes(seed):
+    rng = np.random.default_rng(seed)
+    theta, ts = 10.0, 0.5
+    nu = make_nu(KernelConfig.from_neuron(NeuronConfig(theta, 2.0, 1.0), ts))
+    u_ff = SampledSignal(rng.uniform(0.0, 12.0, size=(7, 40)), ts)
+    s, _, events = simulate_layer(u_ff, nu, theta)
+    n = s.n_samples
+    np.testing.assert_array_equal(np.sort(events), np.flatnonzero(s.values))
+    assert np.all(np.diff(events % n) >= 0)  # bin order
+    chans, bins = np.nonzero(s.values)
+    order = np.lexsort((chans, bins))
+    np.testing.assert_array_equal(events, chans[order] * n + bins[order])
+
+
+def test_forward_input_events_merge_shared_bins():
+    net = init_network(
+        parse_architecture("3-2"), NeuronConfig(10.0, 2.0, 1.0), SimConfig(20.0, 1.0)
+    )
+    train = SpikeTrain(3, ((0, 4.2), (2, 4.5), (0, 4.7), (1, 19.9)))
+    cache = forward(net, train)
+    n = net.sim.n_samples
+    np.testing.assert_array_equal(cache.events[0], [4, n + 19, 2 * n + 4])
+    assert cache.spikes[0].values[0, 4] == 2.0
+
+
+NETS = {
+    "dense": ("30-12-4", 30.0, 40.0),
+    "conv": ("6x6x2-3c3-4", 40.0, 40.0),
+    "aggregate": ("6x6x2-3c3-2a-4", 40.0, 60.0),
+}
+
+
+def _forward_backward(net, train):
+    cache = forward(net, train)
+    spec = LossSpec(mode="count", true_count=5.0, false_count=1.0, interval=(0.0, 40.0))
+    e = output_error(net, cache, spec, label=1)
+    return cache, backward(net, cache, e, SurrogateConfig.for_theta(net.neuron.theta))
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_forward_backward_agree_with_and_without_events(kind, monkeypatch):
+    arch, rate, gain = NETS[kind]
+    sim = SimConfig(40.0, 1.0)
+    net = init_network(
+        parse_architecture(arch), NeuronConfig(5.0, 2.0, 1.0), sim, seed=3, gain=gain
+    )
+    rng = np.random.default_rng(4)
+    for params in net.params:
+        params.delays[:] = rng.uniform(0.0, 2.5, size=params.delays.shape)
+    train = poisson_spike_train(net.layer_sizes[0], rate, sim, 5)
+    # the scatter wherever events are passed, then the dense sum everywhere
+    monkeypatch.setattr(spikenet.kernels, "_SCATTER_DENSITY", 1.0)
+    sparse, g_sparse = _forward_backward(net, train)
+    monkeypatch.setattr(spikenet.kernels, "_SCATTER_DENSITY", 0.0)
+    dense, g_dense = _forward_backward(net, train)
+    assert all(len(events) for events in sparse.events[:-1])  # every layer feeding one fires
+    np.testing.assert_array_equal(sparse.spikes[0].values, spikes_to_signal(train, sim).values)
+    for layer in range(1, len(net.layer_sizes)):
+        np.testing.assert_array_equal(sparse.spikes[layer].values, dense.spikes[layer].values)
+        np.testing.assert_allclose(
+            sparse.potentials[layer].values, dense.potentials[layer].values, rtol=1e-12
+        )
+    pairs = zip(g_sparse.weights + g_sparse.delays, g_dense.weights + g_dense.delays)
+    for a, b in pairs:
+        if a is not None:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())

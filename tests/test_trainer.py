@@ -276,3 +276,25 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     for pa, pc in zip(net_a.params, net_c.params):
         np.testing.assert_array_equal(pa.weights, pc.weights)
         np.testing.assert_array_equal(pa.delays, pc.delays)
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch, failing):
+    """A save that fails after writing part of the file, or before moving it
+    into place, leaves the previous checkpoint loadable and no stray file."""
+    net = _net(seed=8)
+    path = tmp_path / "checkpoint.slck"
+    save_checkpoint(net, None, path, epoch=1)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(f"spikenet.trainer.os.{failing}", fail)
+    net.params[0].weights += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(net, None, path, epoch=2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path)[2] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.slck"]
