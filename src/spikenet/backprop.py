@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ParameterError, ShapeError
 from .forward import SignalCache, spike_response
 from .kernels import Kernel, convolve_values, correlate_values
 from .losses import LossSpec, error_count, error_precise, loss_value
 from .signals import SampledSignal, SpikeTrain, spikes_to_signal
-from .topology import Network, adjoint_linear, apply_linear
+from .topology import Network, _conv_rows, adjoint_linear, apply_linear
 
 
 @dataclass(frozen=True)
@@ -144,11 +143,6 @@ def delta_layer(
     return SampledSignal(rho(u, theta, cfg).values * corr, e.ts_ms)
 
 
-def backprop_error(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
-    """Error of the source layer of transition t: the per-bin adjoint map."""
-    return adjoint_linear(net, t, delta)
-
-
 def weight_gradient(
     net: Network, t: int, delta: SampledSignal, a: SampledSignal
 ) -> np.ndarray | None:
@@ -162,10 +156,12 @@ def weight_gradient(
         return None
     src, dst = net.spec.shapes[t], net.spec.shapes[t + 1]
     k = net.spec.layers[t + 1].kernel_size
-    x = a.values.reshape(src.channels, src.height, src.width, -1)
-    d = delta.values.reshape(dst.channels, dst.height, dst.width, -1)
-    windows = sliding_window_view(x, (k, k), axis=(1, 2))
-    return ts * np.einsum("fijn,cijnpq->fcpq", d, windows)
+    x = a.values.reshape(src.channels, src.height, -1)
+    d = delta.values.reshape(dst.channels, dst.height, -1)
+    grad = np.zeros((dst.channels, src.channels * k * k))
+    for i, block in _conv_rows(x, k, dst.width):
+        grad += d[:, i] @ block.T
+    return ts * grad.reshape(dst.channels, src.channels, k, k)
 
 
 def delay_gradient(
@@ -223,7 +219,7 @@ def backward(
         )
         deltas[layer] = delta
         weight_grads[t] = weight_gradient(net, t, delta, cache.responses[t])
-        e = backprop_error(net, t, delta)
+        e = adjoint_linear(net, t, delta)
         errors[t] = e
         delay_grads[t] = delay_gradient(
             e, cache.spikes[t], eps_dot, net.params[t].delays, ts, cache.events[t]

@@ -19,7 +19,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericError, ParseError, ShapeError
 from .kernels import (
@@ -371,6 +370,36 @@ def _as_spatial(values: np.ndarray, shape: _Shape) -> np.ndarray:
     return values.reshape(shape.channels, shape.height, shape.width, -1)
 
 
+def _conv_rows(x: np.ndarray, k: int, out_w: int, scatter: bool = False):
+    """Walk the output rows of a valid k x k convolution over x.
+
+    ``x`` is a (c, H, W*n) view: each image row holds its W pixels' n bins
+    side by side, so the inputs of one output row at kernel offset (p, q)
+    are the contiguous slice ``x[:, i+p, q*n:(q+out_w)*n]``.  For each
+    output row i this yields (i, block), where block is one reused
+    (c*k*k, out_w*n) array whose rows, ordered (c, p, q) like the
+    flattened weights, hold those k*k slices: one GEMM with the (f, c*k*k)
+    weight matrix computes the whole row.
+
+    With ``scatter`` the direction reverses (col2im): the block is yielded
+    for the caller to fill, and its k*k slices are then added into x.
+    """
+    c, h, row = x.shape
+    n = row // (out_w + k - 1)
+    block = np.empty((c, k, k, out_w * n))
+    cols = [slice(q * n, (q + out_w) * n) for q in range(k)]
+    for i in range(h - k + 1):
+        if not scatter:
+            for p in range(k):
+                for q in range(k):
+                    block[:, p, q] = x[:, i + p, cols[q]]
+        yield i, block.reshape(c * k * k, -1)
+        if scatter:
+            for p in range(k):
+                for q in range(k):
+                    x[:, i + p, cols[q]] += block[:, p, q]
+
+
 def apply_linear(net: Network, t: int, a: SampledSignal) -> SampledSignal:
     """Per-bin linear map of transition t: dense product, valid convolution,
     or non-overlapping block sum for aggregation."""
@@ -382,10 +411,13 @@ def apply_linear(net: Network, t: int, a: SampledSignal) -> SampledSignal:
     if kind == "dense":
         out = w @ a.values
     elif kind == "conv":
-        x = _as_spatial(a.values, src)
+        x = a.values.reshape(src.channels, src.height, -1)
         k = net.spec.layers[t + 1].kernel_size
-        windows = sliding_window_view(x, (k, k), axis=(1, 2))
-        out = np.einsum("cijnpq,fcpq->fijn", windows, w).reshape(dst.neurons, -1)
+        w2 = w.reshape(dst.channels, -1)
+        rows = np.empty((dst.channels, dst.height, dst.width * a.n_samples))
+        for i, block in _conv_rows(x, k, dst.width):
+            np.matmul(w2, block, out=rows[:, i])
+        out = rows.reshape(dst.neurons, -1)
     else:  # aggregate
         b = net.spec.layers[t + 1].block_size
         x = _as_spatial(a.values, src)
@@ -412,11 +444,12 @@ def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
         out = w.T @ delta.values
     elif kind == "conv":
         k = net.spec.layers[t + 1].kernel_size
-        d = _as_spatial(delta.values, dst)
-        padded = np.pad(d, ((0, 0), (k - 1, k - 1), (k - 1, k - 1), (0, 0)))
-        windows = sliding_window_view(padded, (k, k), axis=(1, 2))
-        flipped = w[:, :, ::-1, ::-1]
-        out = np.einsum("fyxnpq,fcpq->cyxn", windows, flipped).reshape(src.neurons, -1)
+        d = delta.values.reshape(dst.channels, dst.height, -1)
+        w2t = w.reshape(dst.channels, -1).T
+        back = np.zeros((src.channels, src.height, src.width * delta.n_samples))
+        for i, block in _conv_rows(back, k, dst.width, scatter=True):
+            np.matmul(w2t, d[:, i], out=block)
+        out = back.reshape(src.neurons, -1)
     else:  # aggregate: broadcast each block value back to its inputs
         b = net.spec.layers[t + 1].block_size
         d = _as_spatial(delta.values, dst)

@@ -104,11 +104,12 @@ def build_dense_net(arch, theta, tau_s, tau_r, t_ms, ts_ms, seed=0, gain=None):
     return init_network(spec, neuron, sim, seed=seed, gain=gain)
 
 
-def well_conditioned_net(seed=0):
-    """A 4-6-3 network tuned so every surrogate gradient is comfortably
-    above the finite-difference noise floor: low threshold, slow kernels,
-    moderate weights and fractional delays off the sampling grid."""
-    net = build_dense_net("4-6-3", theta=1.0, tau_s=3.0, tau_r=3.0,
+def well_conditioned_net(seed=0, arch="4-6-3"):
+    """A network (4-6-3 by default) tuned so every surrogate gradient is
+    comfortably above the finite-difference noise floor: low threshold,
+    slow kernels, moderate weights and fractional delays off the sampling
+    grid."""
+    net = build_dense_net(arch, theta=1.0, tau_s=3.0, tau_r=3.0,
                           t_ms=30.0, ts_ms=1.0, seed=seed, gain=1.5)
     rng = np.random.default_rng([seed, 5])
     for params in net.params:

@@ -366,6 +366,31 @@ def test_finite_differences_confirm_soft_gradients():
     assert worst <= 1e-4
 
 
+@pytest.mark.parametrize("arch", ["4x4x2-2c2-3", "5x5x2-2c2-2a-3"])
+def test_finite_differences_confirm_conv_and_aggregate_gradients(arch):
+    """Conv weight gradients, and delay gradients behind conv and
+    aggregation maps, agree with central differences of the soft loss."""
+    surrogate = SurrogateConfig(alpha=10.0, beta=0.5)
+    spec = LossSpec("precise")
+    worst = 0.0
+    for seed in range(3):
+        net = well_conditioned_net(seed, arch)
+        spikes = poisson_spike_train(net.layer_sizes[0], 150.0, net.sim, [seed, 1])
+        target = poisson_spike_train(net.layer_sizes[-1], 80.0, net.sim, [seed, 2])
+        cache = soft_forward(net, spikes, surrogate)
+        e_out = output_error(net, cache, spec, target=target)
+        got = backward(net, cache, e_out, surrogate)
+        fd = finite_diff_gradients(net, spikes, spec, surrogate, h=1e-5, target=target)
+        for t in range(net.n_transitions):
+            pairs = [(got.delays[t], fd.delays[t])]
+            if got.weights[t] is not None:
+                pairs.append((got.weights[t], fd.weights[t]))
+            for g, f in pairs:
+                rel = np.abs(g - f) / np.maximum(np.abs(f), 1e-8)
+                worst = max(worst, float(rel.max()))
+    assert worst <= 1e-4
+
+
 def test_first_layer_gradients_vanish_behind_zero_weights():
     """With every weight zero no signal variation crosses the second
     transition, so first-transition gradients are exactly zero both

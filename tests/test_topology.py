@@ -173,7 +173,9 @@ def test_adjoint_aggregate_broadcasts():
     np.testing.assert_array_equal(back[2:4, 0:2, 5], np.ones((2, 2)))
 
 
-@pytest.mark.parametrize("arch", ["6x6x2-3c3-2a-4", "9-5-2", "4x4-2a-3"])
+@pytest.mark.parametrize(
+    "arch", ["6x6x2-3c3-2a-4", "9-5-2", "4x4-2a-3", "5x7x2-3c3-4", "4x6-2c1-2a-3"]
+)
 def test_apply_adjoint_are_adjoint(arch):
     """<A a, d> == <a, A* d> for every transition of mixed architectures."""
     neuron, sim = NeuronConfig(10.0, 2.0, 1.0), SimConfig(8.0, 1.0)
