@@ -85,7 +85,7 @@ class BackpropTrace:
 def rho(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
     """Pointwise surrogate derivative of the spike function at potential u."""
     values = np.exp(-cfg.beta * np.abs(u.values - theta)) / cfg.alpha
-    return SampledSignal(values, u.ts_ms)
+    return SampledSignal._adopt(values, u.ts_ms)
 
 
 def soft_spike(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
@@ -100,7 +100,7 @@ def soft_spike(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledS
     out[below] = np.exp(z[below])
     out[~below] = 2.0 - np.exp(-z[~below])
     out /= cfg.alpha * cfg.beta
-    return SampledSignal(out, u.ts_ms)
+    return SampledSignal._adopt(out, u.ts_ms)
 
 
 def output_error(
@@ -140,7 +140,7 @@ def delta_layer(
     if e.values.shape != u.values.shape:
         raise ShapeError(f"error shape {e.values.shape} != potential {u.values.shape}")
     corr = correlate_values(e.values, epsilon, np.asarray(delays, dtype=np.float64))
-    return SampledSignal(rho(u, theta, cfg).values * corr, e.ts_ms)
+    return SampledSignal._adopt(rho(u, theta, cfg).values * corr, e.ts_ms)
 
 
 def weight_gradient(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 from .kernels import Kernel, NeuronConfig, convolve_values
 from .signals import SampledSignal, SpikeTrain, event_bins, spikes_to_signal
 from .topology import Network, apply_linear
@@ -57,15 +57,10 @@ def spike_response(
     """Convolve each channel of s with the response kernel at its own delay;
     ``events`` as in :func:`convolve_values`."""
     values = convolve_values(s.values, epsilon, np.asarray(delays, dtype=np.float64), events)
-    return SampledSignal(values, s.ts_ms)
+    return SampledSignal._adopt(values, s.ts_ms)
 
 
-def simulate_layer(
-    u_ff: SampledSignal,
-    nu: Kernel,
-    theta: float,
-    layer: int | None = None,
-) -> tuple:
+def simulate_layer(u_ff: SampledSignal, nu: Kernel, theta: float) -> tuple:
     """Run threshold-and-refract dynamics on a feedforward potential.
 
     Returns (spike signal, recorded potential, events): the events are the
@@ -87,12 +82,9 @@ def simulate_layer(
             reach = min(len(nu_samples), n - m)
             u[fired, m : m + reach] += nu_samples[:reach]
             events.append(fired * n + m)
-    if not np.all(np.isfinite(u)):
-        c, m = np.argwhere(~np.isfinite(u))[0]
-        where = f"layer {layer}, " if layer is not None else ""
-        raise NumericError(f"non-finite potential at {where}neuron {int(c)}, bin {int(m)}")
     events = np.concatenate(events) if events else np.zeros(0, dtype=np.intp)
-    return SampledSignal(s, ts), SampledSignal(u, ts), events
+    events.flags.writeable = False
+    return SampledSignal._adopt(s, ts), SampledSignal._adopt(u, ts), events
 
 
 def forward(net: Network, spikes: SpikeTrain) -> SignalCache:
@@ -111,13 +103,14 @@ def forward(net: Network, spikes: SpikeTrain) -> SignalCache:
     # together; sort and compare is ten times faster here than np.unique
     events = np.sort(event_bins(spikes, net.sim))
     events = events[np.diff(events, prepend=-1) != 0]
+    events.flags.writeable = False
     cache = SignalCache(spikes=[s], events=[events], potentials=[None], responses=[])
     epsilon, nu = net.epsilon, net.nu
     for t in range(net.n_transitions):
         a = spike_response(cache.spikes[t], net.params[t].delays, epsilon, cache.events[t])
         cache.responses.append(a)
         u_ff = apply_linear(net, t, a)
-        s_next, u_next, events = simulate_layer(u_ff, nu, net.neuron.theta, layer=t + 1)
+        s_next, u_next, events = simulate_layer(u_ff, nu, net.neuron.theta)
         cache.spikes.append(s_next)
         cache.events.append(events)
         cache.potentials.append(u_next)

@@ -150,17 +150,17 @@ def _taps(kernel: Kernel, delays: np.ndarray, n_samples: int) -> int:
     return max(1, min(n_samples, len(kernel.samples) + extra))
 
 
-def _delayed_taps(kernel: Kernel, delays: np.ndarray, taps: int) -> np.ndarray:
-    grid = np.arange(taps) * kernel.ts_ms
-    return kernel.evaluate(grid[None, :] - delays[:, None])
+def _delayed_taps(kernel: Kernel, delays: np.ndarray, j: np.ndarray) -> np.ndarray:
+    return kernel.evaluate(j[None, :] * kernel.ts_ms - delays[:, None])
 
 
 # Below this share of nonzero samples the event scatter beats the dense
-# window sum.  Measured with 21 taps on 250-8192 channels x 50-300 bins of
-# random spikes, one thread: 1.7-4.2x faster at 3 %, 1.1-2.5x at 5-6 %; on
-# 2312-8192 channels 0.9-1.1x at 7-8 % and 0.7-0.8x at 10 %.  The spike
-# signals of the nmnist_mlp and frozen_noise nets lie at 2-7 %, the 8c3 and
-# 16c3 outputs of the nmnist cnn at about 10 %.
+# window sum.  Against the contiguous einsum (24 taps, random spikes, one
+# thread) it breaks even at about 6.5 % on 8192 x 300 samples, 7-8 % on
+# 2312-3136 x 300, 9-11 % on 500-1000 x 300 and 12 % on 250 x 50.  A cutoff
+# grown on small signals put small test nets on both sides of it, where
+# inputs that agree up to a bin differ by rounding before that bin.  The
+# benchmark nets' spike signals lie at 2-9 %, the cnn's 8c3/16c3 at 10 %.
 _SCATTER_DENSITY = 1.0 / 16.0
 
 
@@ -169,15 +169,15 @@ def convolve_values(values, kernel: Kernel, delays, events=None) -> np.ndarray:
 
     ``events``, if given, holds the flat index (c * n_samples + n) of every
     nonzero sample of ``values`` exactly once.  Below 1/16 density the output
-    is then built by scattering each event's delayed kernel taps.  With each
-    channel's events in increasing bin order, as forward passes them, every
-    sum runs in the order of the dense window sum.
+    is then built by scattering each event's delayed kernel taps; the
+    scatter and the dense window sum group their additions differently, so
+    they agree to rounding, not bit for bit.
     """
     channels, n_samples = values.shape
     delays = _delay_vector(delays, channels)
     taps = _taps(kernel, delays, n_samples)
-    kd = _delayed_taps(kernel, delays, taps)
     if events is not None and len(events) < _SCATTER_DENSITY * values.size:
+        kd = _delayed_taps(kernel, delays, np.arange(taps))
         # tap j of event (c, b) lands on flat sample c * n_samples + b + j;
         # taps past the last bin get zero weight, so their spill into the
         # next channel adds nothing
@@ -197,7 +197,9 @@ def convolve_values(values, kernel: Kernel, delays, events=None) -> np.ndarray:
         return out.reshape(channels, n_samples)
     padded = np.pad(values, ((0, 0), (taps - 1, 0)))
     windows = sliding_window_view(padded, taps, axis=1)
-    return kernel.ts_ms * np.einsum("cnj,cj->cn", windows, kd[:, ::-1])
+    # taps built last to first: a reversed view makes einsum 1.5x slower
+    kr = _delayed_taps(kernel, delays, np.arange(taps)[::-1])
+    return kernel.ts_ms * np.einsum("cnj,cj->cn", windows, kr)
 
 
 def correlate_values(values, kernel: Kernel, delays) -> np.ndarray:
@@ -205,7 +207,7 @@ def correlate_values(values, kernel: Kernel, delays) -> np.ndarray:
     channels, n_samples = values.shape
     delays = _delay_vector(delays, channels)
     taps = _taps(kernel, delays, n_samples)
-    kd = _delayed_taps(kernel, delays, taps)
+    kd = _delayed_taps(kernel, delays, np.arange(taps))
     padded = np.pad(values, ((0, 0), (0, taps - 1)))
     windows = sliding_window_view(padded, taps, axis=1)
     return kernel.ts_ms * np.einsum("cnj,cj->cn", windows, kd)

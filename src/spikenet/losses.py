@@ -71,7 +71,7 @@ def error_precise(
         )
     diff = s_out.values - spikes_to_signal(target, config).values
     zero = np.zeros(s_out.channels)
-    return SampledSignal(convolve_values(diff, epsilon, zero), s_out.ts_ms)
+    return SampledSignal._adopt(convolve_values(diff, epsilon, zero), s_out.ts_ms)
 
 
 def error_count(
@@ -83,11 +83,13 @@ def error_count(
         raise ShapeError(
             f"desired counts shape {desired.shape} != ({s_out.channels},)"
         )
+    if not np.all(np.isfinite(desired)):
+        raise ParameterError(f"desired counts must be finite, got {desired}")
     bins = interval_bins(interval, config)
     actual = s_out.values[:, bins].sum(axis=1) * config.ts_ms
     e = np.zeros((s_out.channels, s_out.n_samples))
     e[:, bins] = (actual - desired)[:, None]
-    return SampledSignal(e, s_out.ts_ms)
+    return SampledSignal._adopt(e, s_out.ts_ms)
 
 
 def loss_value(e: SampledSignal) -> float:

@@ -174,7 +174,10 @@ class SampledSignal:
     """Uniformly sampled multichannel signal, values shaped (channels, bins).
 
     The value array is float64, C-contiguous and frozen read-only; all
-    operations return new instances.
+    operations return new instances.  The constructor, which ``convolve``,
+    ``correlate`` and ``spikes_to_signal`` use, copies the values and scans
+    them for non-finite ones; ``_adopt``, for arrays the package has just
+    built, freezes them in place and does neither.
     """
 
     values: np.ndarray
@@ -192,6 +195,14 @@ class SampledSignal:
             vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, ts_ms: float) -> "SampledSignal":
+        """Freeze a new float64 (channels, bins) array in place and wrap it."""
+        values.flags.writeable = False
+        signal = object.__new__(cls)
+        signal.__dict__.update(values=values, ts_ms=ts_ms)
+        return signal
 
     @property
     def channels(self) -> int:

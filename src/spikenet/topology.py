@@ -428,7 +428,7 @@ def apply_linear(net: Network, t: int, a: SampledSignal) -> SampledSignal:
         raise NumericError(
             f"non-finite potential in transition {t} at neuron {int(c)}, bin {int(n)}"
         )
-    return SampledSignal(out, a.ts_ms)
+    return SampledSignal._adopt(out, a.ts_ms)
 
 
 def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
@@ -452,6 +452,7 @@ def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
         out = back.reshape(src.neurons, -1)
     else:  # aggregate: broadcast each block value back to its inputs
         b = net.spec.layers[t + 1].block_size
-        d = _as_spatial(delta.values, dst)
-        out = np.repeat(np.repeat(d, b, axis=1), b, axis=2).reshape(src.neurons, -1)
-    return SampledSignal(out, delta.ts_ms)
+        d = _as_spatial(delta.values, dst)[:, :, None, :, None]
+        shape = (dst.channels, dst.height, b, dst.width, b, delta.n_samples)
+        out = np.broadcast_to(d, shape).reshape(src.neurons, -1)
+    return SampledSignal._adopt(out, delta.ts_ms)

@@ -36,6 +36,7 @@ from spikenet.backprop import (
     soft_spike,
     weight_gradient,
 )
+from spikenet.errors import NumericError
 from spikenet.losses import error_count, error_precise
 
 
@@ -420,3 +421,33 @@ def test_count_mode_backward_runs_on_hard_cache():
     for t in range(net.n_transitions):
         assert np.all(np.isfinite(grads.weights[t]))
         assert np.all(np.isfinite(grads.delays[t]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and inf * 0
+def test_backward_flags_an_overflowing_adjoint():
+    net = _toy_net(seed=6)
+    cache = forward(net, _poisson_in(net, 200.0, 8))
+    e_out = _sig(np.full((2, 25), 1e3))
+    net.params[-1].weights[:] = 1e308  # after the forward pass, which would flag it
+    with pytest.raises(NumericError, match="non-finite gradient in transition"):
+        backward(net, cache, e_out, SurrogateConfig(10.0, 0.05))
+
+
+@pytest.mark.parametrize("arch", ["3-4-2", "6x6x2-2c3-2a-3"])
+def test_forward_caches_and_backprop_traces_are_read_only(arch):
+    net = _toy_net(seed=6, arch=arch)
+    x = _poisson_in(net, 200.0, 8)
+    surrogate = SurrogateConfig(10.0, 0.05)
+    spec = LossSpec("count", 6.0, 2.0, (0.0, 25.0))
+    for cache in (forward(net, x), soft_forward(net, x, surrogate)):
+        e_out = output_error(net, cache, spec, label=0)
+        _, trace = backward(net, cache, e_out, surrogate, want_trace=True)
+        signals = cache.spikes + cache.potentials + cache.responses + trace.errors + trace.deltas
+        arrays = [s.values for s in signals if s is not None]
+        assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
+        arrays += [events for events in cache.events if events is not None]
+        assert len(arrays) > 4 * net.n_transitions
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0

@@ -13,9 +13,10 @@ from spikenet import (
     init_network,
     make_nu,
     parse_architecture,
+    poisson_spike_train,
     spikes_to_signal,
 )
-from spikenet.errors import ShapeError
+from spikenet.errors import NumericError, ShapeError
 from spikenet.forward import simulate_layer, spike_response
 from spikenet.kernels import KernelConfig, make_epsilon
 
@@ -137,6 +138,20 @@ def test_forward_zero_weights_stay_silent():
     cache = forward(net, SpikeTrain(4, ((0, 1.5), (3, 4.5))))
     assert np.all(cache.spikes[1].values == 0.0)
     assert np.all(cache.output_spikes.values == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and inf * 0
+@pytest.mark.parametrize("arch", ["4-3-2", "5x5x2-2c3-2"])
+@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_forward_flags_a_non_finite_weight_with_its_transition(arch, t, bad):
+    net = init_network(
+        parse_architecture(arch), NeuronConfig(10.0, 2.0, 1.0), SimConfig(20.0, 1.0), seed=1
+    )
+    net.params[t].weights.reshape(-1)[-1] = bad
+    train = poisson_spike_train(net.layer_sizes[0], 100.0, net.sim, 2)
+    with pytest.raises(NumericError, match=f"non-finite potential in transition {t}"):
+        forward(net, train)
 
 
 def test_forward_cache_shapes():

@@ -109,6 +109,13 @@ def test_error_count_constant_difference_on_interval():
     np.testing.assert_allclose(e.values[0], np.full(50, -2.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_error_count_rejects_non_finite_desired_counts(bad):
+    cfg = SimConfig(10.0, 1.0)
+    with pytest.raises(ParameterError, match="desired counts must be finite"):
+        error_count(SampledSignal(np.zeros((2, 10)), 1.0), [1.0, bad], (0.0, 10.0), cfg)
+
+
 def test_error_count_ignores_spikes_outside_interval():
     cfg = SimConfig(50.0, 1.0)
     s = np.zeros((1, 50))
