@@ -10,15 +10,12 @@ the spike function, yielding gradients for both weights and delays.
 from .backprop import (
     BackpropTrace,
     Gradients,
-    SurrogateConfig,
     backward,
     delta_layer,
     finite_diff_gradients,
     output_error,
-    rho,
     soft_forward,
     soft_loss,
-    soft_spike,
 )
 from .errors import (
     ConfigError,
@@ -30,7 +27,7 @@ from .errors import (
     ShapeError,
     SpikeNetError,
 )
-from .forward import SignalCache, forward, simulate_layer, spike_response
+from .forward import SignalCache, SurrogateConfig, forward, rho, simulate_layer, soft_spike
 from .kernels import (
     Kernel,
     KernelConfig,
@@ -144,7 +141,6 @@ __all__ = [
     "soft_loss",
     "soft_spike",
     "spike_counts",
-    "spike_response",
     "spikes_to_signal",
     "step",
     "train",

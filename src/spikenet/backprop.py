@@ -7,10 +7,9 @@ the transposed linear transition, and integrated against cached signals
 to produce weight and delay gradients.  Delay gradients pair the layer
 error with the kernel-derivative response of the layer's own spikes.
 
-A soft forward mode replaces the threshold with a differentiable map g
-whose derivative is exactly rho and disables the refractory term; on that
-network the backward pass computes the exact gradient of the precise loss,
-which finite differences verify to high accuracy.
+On a soft-mode forward pass (see :mod:`spikenet.forward`) the backward
+pass computes the exact gradient of the precise loss, which
+:func:`finite_diff_gradients` verifies.
 """
 
 from __future__ import annotations
@@ -20,28 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .forward import SignalCache, spike_response
+from .forward import SignalCache, SurrogateConfig, forward, rho
 from .kernels import Kernel, convolve_values, correlate_values
 from .losses import LossSpec, error_count, error_precise, loss_value
-from .signals import SampledSignal, SpikeTrain, spikes_to_signal
-from .topology import Network, _conv_rows, adjoint_linear, apply_linear
-
-
-@dataclass(frozen=True)
-class SurrogateConfig:
-    """Spike-derivative surrogate rho(u) = (1/alpha) exp(-beta |u - theta|)."""
-
-    alpha: float = 10.0
-    beta: float = 0.5
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ParameterError("surrogate scale and sharpness must be positive")
-
-    @classmethod
-    def for_theta(cls, theta: float, alpha: float = 10.0) -> "SurrogateConfig":
-        """Default sharpness: rho decays by e^-5 one threshold away from theta."""
-        return cls(alpha=alpha, beta=5.0 / theta)
+from .signals import SampledSignal, SpikeTrain
+from .topology import Network, _conv_rows, adjoint_linear
 
 
 @dataclass(eq=False)
@@ -67,12 +49,6 @@ class Gradients:
                 self.weights[t] += scale * other.weights[t]
             self.delays[t] += scale * other.delays[t]
 
-    def scale(self, factor: float) -> None:
-        for t in range(len(self.delays)):
-            if self.weights[t] is not None:
-                self.weights[t] *= factor
-            self.delays[t] *= factor
-
 
 @dataclass(eq=False)
 class BackpropTrace:
@@ -82,33 +58,11 @@ class BackpropTrace:
     deltas: list
 
 
-def rho(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
-    """Pointwise surrogate derivative of the spike function at potential u."""
-    values = np.exp(-cfg.beta * np.abs(u.values - theta)) / cfg.alpha
-    return SampledSignal._adopt(values, u.ts_ms)
-
-
-def soft_spike(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
-    """Differentiable spike stand-in g(u) with g'(u) = rho(u) exactly.
-
-    Both branches meet at g(theta) = 1/(alpha beta); g is monotone and
-    continuous, saturating at 2/(alpha beta).
-    """
-    z = cfg.beta * (u.values - theta)
-    out = np.empty_like(z)
-    below = z < 0
-    out[below] = np.exp(z[below])
-    out[~below] = 2.0 - np.exp(-z[~below])
-    out /= cfg.alpha * cfg.beta
-    return SampledSignal._adopt(out, u.ts_ms)
-
-
 def output_error(
     net: Network,
     cache: SignalCache,
     spec: LossSpec,
     target: SpikeTrain | None = None,
-    desired: np.ndarray | None = None,
     label: int | None = None,
 ) -> SampledSignal:
     """Error signal at the output layer for the configured loss mode."""
@@ -117,10 +71,9 @@ def output_error(
         if target is None:
             raise ParameterError("precise loss needs a target spike train")
         return error_precise(s_out, target, net.epsilon, net.sim)
-    if desired is None:
-        if label is None:
-            raise ParameterError("count loss needs desired counts or a label")
-        desired = spec.desired_counts(label, s_out.channels)
+    if label is None:
+        raise ParameterError("count loss needs a label")
+    desired = spec.desired_counts(label, s_out.channels)
     return error_count(s_out, desired, spec.interval, net.sim)
 
 
@@ -237,24 +190,8 @@ def backward(
 
 
 def soft_forward(net: Network, spikes: SpikeTrain, surrogate: SurrogateConfig) -> SignalCache:
-    """Forward pass with the threshold replaced by the differentiable map g
-    and the refractory term disabled; used to verify gradients."""
-    if spikes.neuron_count != net.layer_sizes[0]:
-        raise ShapeError(
-            f"input has {spikes.neuron_count} channels, network expects "
-            f"{net.layer_sizes[0]}"
-        )
-    s = spikes_to_signal(spikes, net.sim)
-    events = [None] * (net.n_transitions + 1)
-    cache = SignalCache(spikes=[s], events=events, potentials=[None], responses=[], soft=True)
-    epsilon = net.epsilon
-    for t in range(net.n_transitions):
-        a = spike_response(cache.spikes[t], net.params[t].delays, epsilon)
-        cache.responses.append(a)
-        u = apply_linear(net, t, a)
-        cache.spikes.append(soft_spike(u, net.neuron.theta, surrogate))
-        cache.potentials.append(u)
-    return cache
+    """Soft-mode :func:`forward`, the pass whose gradient backward computes."""
+    return forward(net, spikes, surrogate)
 
 
 def soft_loss(
@@ -263,12 +200,11 @@ def soft_loss(
     spec: LossSpec,
     surrogate: SurrogateConfig,
     target: SpikeTrain | None = None,
-    desired: np.ndarray | None = None,
     label: int | None = None,
 ) -> float:
     """Scalar loss of one soft-mode forward pass."""
-    cache = soft_forward(net, spikes, surrogate)
-    e = output_error(net, cache, spec, target=target, desired=desired, label=label)
+    cache = forward(net, spikes, surrogate)
+    e = output_error(net, cache, spec, target=target, label=label)
     return loss_value(e)
 
 
@@ -279,7 +215,6 @@ def finite_diff_gradients(
     surrogate: SurrogateConfig,
     h: float = 1e-5,
     target: SpikeTrain | None = None,
-    desired: np.ndarray | None = None,
     label: int | None = None,
 ) -> Gradients:
     """Central finite differences of the soft-mode loss over every parameter.
@@ -287,7 +222,7 @@ def finite_diff_gradients(
     Probes mutate parameters in place and restore them, so delays may be
     evaluated slightly below zero during a probe; the kernels accept that.
     """
-    kwargs = dict(spec=spec, surrogate=surrogate, target=target, desired=desired, label=label)
+    kwargs = dict(spec=spec, surrogate=surrogate, target=target, label=label)
 
     def probe(array: np.ndarray, idx) -> float:
         original = array[idx]

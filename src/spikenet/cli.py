@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import backprop as _backprop
-from .backprop import finite_diff_gradients, output_error, soft_forward
+from .backprop import finite_diff_gradients, output_error
 from .errors import ConfigError, SpikeNetError
 from .forward import forward
 from .losses import LossSpec
@@ -167,7 +167,7 @@ def cmd_gradcheck(args) -> int:
     spikes_in = poisson_spike_train(net.layer_sizes[0], args.rate, net.sim, seed=[seed, 2])
     target = poisson_spike_train(net.layer_sizes[-1], args.target_rate, net.sim, seed=[seed, 3])
     loss = LossSpec(mode="precise")
-    cache = soft_forward(net, spikes_in, rc.surrogate)
+    cache = forward(net, spikes_in, rc.surrogate)
     e = output_error(net, cache, loss, target=target)
     analytic = _backprop.backward(net, cache, e, rc.surrogate)
     fd = finite_diff_gradients(net, spikes_in, loss, rc.surrogate, h=args.h, target=target)

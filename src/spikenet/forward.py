@@ -1,4 +1,4 @@
-"""Forward simulation: spike responses, membrane potentials, threshold spikes.
+"""Forward simulation: spike responses, membrane potentials, threshold or soft spikes.
 
 A neuron's potential is the weighted sum of kernel-filtered presynaptic
 spikes plus a refractory feedback term built from its own past output.
@@ -7,26 +7,71 @@ uses potential accumulated from spikes at bins < n, then the refractory
 response of a new spike is folded in from bin n onward so the recorded
 potential trace is the full model value (backprop evaluates the spike
 derivative on this trace).
+
+The threshold has no useful derivative; backprop uses the surrogate rho(u).
+In soft mode the threshold is replaced by a differentiable map g whose
+derivative is exactly rho and the refractory term is dropped; on that
+network the backward pass computes the exact gradient of the precise
+loss, which finite differences verify to high accuracy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
-from .kernels import Kernel, NeuronConfig, convolve_values
+from .errors import ParameterError, ShapeError
+from .kernels import Kernel, convolve_values
 from .signals import SampledSignal, SpikeTrain, event_bins, spikes_to_signal
 from .topology import Network, apply_linear
 
 __all__ = [
-    "NeuronConfig",
     "SignalCache",
-    "spike_response",
+    "SurrogateConfig",
+    "rho",
+    "soft_spike",
     "simulate_layer",
     "forward",
 ]
+
+
+@dataclass(frozen=True)
+class SurrogateConfig:
+    """Spike-derivative surrogate rho(u) = (1/alpha) exp(-beta |u - theta|)."""
+
+    alpha: float = 10.0
+    beta: float = 0.5
+
+    def __post_init__(self):
+        if self.alpha <= 0 or self.beta <= 0:
+            raise ParameterError("surrogate scale and sharpness must be positive")
+
+    @classmethod
+    def for_theta(cls, theta: float, alpha: float = 10.0) -> "SurrogateConfig":
+        """Default sharpness: rho decays by e^-5 one threshold away from theta."""
+        return cls(alpha=alpha, beta=5.0 / theta)
+
+
+def rho(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
+    """Pointwise surrogate derivative of the spike function at potential u."""
+    values = np.exp(-cfg.beta * np.abs(u.values - theta)) / cfg.alpha
+    return SampledSignal._adopt(values, u.ts_ms)
+
+
+def soft_spike(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
+    """Differentiable spike stand-in g(u) with g'(u) = rho(u) exactly.
+
+    Both branches meet at g(theta) = 1/(alpha beta); g is monotone and
+    continuous, saturating at 2/(alpha beta).
+    """
+    z = cfg.beta * (u.values - theta)
+    out = np.empty_like(z)
+    below = z < 0
+    out[below] = np.exp(z[below])
+    out[~below] = 2.0 - np.exp(-z[~below])
+    out /= cfg.alpha * cfg.beta
+    return SampledSignal._adopt(out, u.ts_ms)
 
 
 @dataclass(eq=False)
@@ -34,10 +79,10 @@ class SignalCache:
     """Per-layer signals of one forward pass, indexed 0 (input) .. n_layers.
 
     ``spikes[l]`` holds amplitudes in {0, 1/Ts} (continuous values in soft
-    mode), ``events[l]`` the flat indices of its nonzero samples (None in
-    soft mode), ``potentials[l]`` the recorded membrane potential (None for
-    the input layer), and ``responses[l]`` (l < n_layers) the delayed
-    kernel-filtered spike response feeding the next layer.
+    mode), ``events[l]`` the flat indices of its nonzero samples (None past
+    the input in soft mode), ``potentials[l]`` the recorded membrane
+    potential (None for the input layer), and ``responses[l]`` (l < n_layers)
+    the delayed kernel-filtered spike response feeding the next layer.
     """
 
     spikes: list
@@ -49,15 +94,6 @@ class SignalCache:
     @property
     def output_spikes(self) -> SampledSignal:
         return self.spikes[-1]
-
-
-def spike_response(
-    s: SampledSignal, delays: np.ndarray, epsilon: Kernel, events=None
-) -> SampledSignal:
-    """Convolve each channel of s with the response kernel at its own delay;
-    ``events`` as in :func:`convolve_values`."""
-    values = convolve_values(s.values, epsilon, np.asarray(delays, dtype=np.float64), events)
-    return SampledSignal._adopt(values, s.ts_ms)
 
 
 def simulate_layer(u_ff: SampledSignal, nu: Kernel, theta: float) -> tuple:
@@ -87,11 +123,15 @@ def simulate_layer(u_ff: SampledSignal, nu: Kernel, theta: float) -> tuple:
     return SampledSignal._adopt(s, ts), SampledSignal._adopt(u, ts), events
 
 
-def forward(net: Network, spikes: SpikeTrain) -> SignalCache:
+def forward(
+    net: Network, spikes: SpikeTrain, surrogate: SurrogateConfig | None = None
+) -> SignalCache:
     """Simulate the whole network on one input spike train.
 
     The cache holds every layer's spike signal, spike events, potential and
     delayed response, which is exactly what the backward pass consumes.
+    With a ``surrogate`` the pass runs in soft mode: each layer's spikes are
+    :func:`soft_spike` of its feedforward potential, with no refractory term.
     """
     if spikes.neuron_count != net.layer_sizes[0]:
         raise ShapeError(
@@ -104,13 +144,21 @@ def forward(net: Network, spikes: SpikeTrain) -> SignalCache:
     events = np.sort(event_bins(spikes, net.sim))
     events = events[np.diff(events, prepend=-1) != 0]
     events.flags.writeable = False
-    cache = SignalCache(spikes=[s], events=[events], potentials=[None], responses=[])
-    epsilon, nu = net.epsilon, net.nu
+    cache = SignalCache(
+        spikes=[s], events=[events], potentials=[None], responses=[], soft=surrogate is not None
+    )
+    epsilon, nu, theta = net.epsilon, net.nu, net.neuron.theta
     for t in range(net.n_transitions):
-        a = spike_response(cache.spikes[t], net.params[t].delays, epsilon, cache.events[t])
+        response = convolve_values(
+            cache.spikes[t].values, epsilon, net.params[t].delays, cache.events[t]
+        )
+        a = SampledSignal._adopt(response, s.ts_ms)
         cache.responses.append(a)
         u_ff = apply_linear(net, t, a)
-        s_next, u_next, events = simulate_layer(u_ff, nu, net.neuron.theta)
+        if surrogate is None:
+            s_next, u_next, events = simulate_layer(u_ff, nu, theta)
+        else:
+            s_next, u_next, events = soft_spike(u_ff, theta, surrogate), u_ff, None
         cache.spikes.append(s_next)
         cache.events.append(events)
         cache.potentials.append(u_next)

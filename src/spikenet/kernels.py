@@ -75,7 +75,6 @@ class Kernel:
 
     samples: np.ndarray
     ts_ms: float
-    analytic_id: str
     _fn: Callable = field(repr=False)
 
     def __post_init__(self):
@@ -95,12 +94,12 @@ class Kernel:
         return out
 
 
-def _sample_and_truncate(cfg: KernelConfig, fn, analytic_id: str) -> Kernel:
+def _sample_and_truncate(cfg: KernelConfig, fn) -> Kernel:
     ceiling = 10.0 * max(cfg.tau_s, cfg.tau_r)
     grid = np.arange(int(np.floor(ceiling / cfg.ts_ms)) + 1) * cfg.ts_ms
     vals = fn(grid)
     keep = np.nonzero(np.abs(vals) >= cfg.cutoff * np.max(np.abs(vals)))[0]
-    return Kernel(vals[: keep[-1] + 1], cfg.ts_ms, analytic_id, fn)
+    return Kernel(vals[: keep[-1] + 1], cfg.ts_ms, fn)
 
 
 def make_epsilon(cfg: KernelConfig) -> Kernel:
@@ -111,7 +110,7 @@ def make_epsilon(cfg: KernelConfig) -> Kernel:
         x = np.asarray(t, dtype=float) / tau
         return x * np.exp(1.0 - x)
 
-    return _sample_and_truncate(cfg, fn, "epsilon")
+    return _sample_and_truncate(cfg, fn)
 
 
 def make_nu(cfg: KernelConfig) -> Kernel:
@@ -121,7 +120,7 @@ def make_nu(cfg: KernelConfig) -> Kernel:
     def fn(t):
         return -2.0 * theta * np.exp(1.0 - np.asarray(t, dtype=float) / tau)
 
-    return _sample_and_truncate(cfg, fn, "nu")
+    return _sample_and_truncate(cfg, fn)
 
 
 def make_epsilon_dot(cfg: KernelConfig) -> Kernel:
@@ -132,7 +131,7 @@ def make_epsilon_dot(cfg: KernelConfig) -> Kernel:
         x = np.asarray(t, dtype=float) / tau
         return (1.0 - x) * np.exp(1.0 - x) / tau
 
-    return _sample_and_truncate(cfg, fn, "epsilon_dot")
+    return _sample_and_truncate(cfg, fn)
 
 
 def _delay_vector(delay, channels) -> np.ndarray:

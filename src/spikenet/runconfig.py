@@ -11,8 +11,8 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backprop import SurrogateConfig
 from .errors import ConfigError
+from .forward import SurrogateConfig
 from .kernels import NeuronConfig
 from .losses import LossSpec
 from .optim import OptimizerState

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,11 +63,6 @@ class LayerSpec:
     @classmethod
     def aggregate(cls, block_size: int) -> "LayerSpec":
         return cls(kind="aggregate", block_size=block_size)
-
-    @property
-    def learnable(self) -> bool:
-        """Aggregation layers keep fixed unit weights; input layers have none."""
-        return self.kind in ("dense", "conv")
 
 
 @dataclass(frozen=True)
@@ -137,11 +133,6 @@ class NetworkSpec:
         if len(self.layers) < 2:
             raise ShapeError("a network needs an input layer and at least one layer")
         object.__setattr__(self, "shapes", _resolve_shapes(self.layers))
-
-    @property
-    def n_layers(self) -> int:
-        """Depth counted without the input, matching the architecture notation."""
-        return len(self.layers) - 1
 
     @property
     def n_transitions(self) -> int:
@@ -284,7 +275,6 @@ class Network:
                     f"transition {t}: delay length {self.params[t].delays.shape} "
                     f"!= ({self.spec.neuron_counts[t]},)"
                 )
-        self._kernels = {}
 
     @property
     def n_transitions(self) -> int:
@@ -294,28 +284,21 @@ class Network:
     def layer_sizes(self) -> tuple:
         return self.spec.neuron_counts
 
-    def _kernel(self, which: str) -> Kernel:
-        if which not in self._kernels:
-            cfg = KernelConfig.from_neuron(self.neuron, self.sim.ts_ms, self.cutoff)
-            maker = {
-                "epsilon": make_epsilon,
-                "nu": make_nu,
-                "epsilon_dot": make_epsilon_dot,
-            }[which]
-            self._kernels[which] = maker(cfg)
-        return self._kernels[which]
+    @cached_property
+    def _kernel_config(self) -> KernelConfig:
+        return KernelConfig.from_neuron(self.neuron, self.sim.ts_ms, self.cutoff)
 
-    @property
+    @cached_property
     def epsilon(self) -> Kernel:
-        return self._kernel("epsilon")
+        return make_epsilon(self._kernel_config)
 
-    @property
+    @cached_property
     def nu(self) -> Kernel:
-        return self._kernel("nu")
+        return make_nu(self._kernel_config)
 
-    @property
+    @cached_property
     def epsilon_dot(self) -> Kernel:
-        return self._kernel("epsilon_dot")
+        return make_epsilon_dot(self._kernel_config)
 
 
 def _weight_shape(spec: NetworkSpec, t: int):

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .backprop import Gradients, SurrogateConfig, backward, output_error
+from .backprop import Gradients, backward, output_error
 from .errors import FormatError, ParameterError, ShapeError
-from .forward import forward
+from .forward import SurrogateConfig, forward
 from .kernels import NeuronConfig
 from .losses import LossSpec, loss_value, spike_counts
 from .optim import OptimizerState, step

@@ -17,8 +17,8 @@ from spikenet import (
     spikes_to_signal,
 )
 from spikenet.errors import NumericError, ShapeError
-from spikenet.forward import simulate_layer, spike_response
-from spikenet.kernels import KernelConfig, make_epsilon
+from spikenet.forward import simulate_layer
+from spikenet.kernels import _SCATTER_DENSITY, KernelConfig, convolve, make_epsilon
 
 
 def _nu(theta=10.0, tau_r=1.0, ts=1.0):
@@ -201,6 +201,34 @@ def test_forward_is_causal():
         )
 
 
+def test_forward_is_causal_across_the_scatter_crossover():
+    """Inputs that agree before bin cut but whose input signals lie on
+    either side of the scatter crossover, so their responses are summed on
+    different paths: before cut the rasters are equal and the potentials
+    agree to rounding (here they differ by about 1e-14)."""
+    net = init_network(
+        parse_architecture("10-8-3"), NeuronConfig(10.0, 2.0, 1.0), SimConfig(40.0, 1.0), seed=7
+    )
+    rng = np.random.default_rng(0)
+    early = tuple((int(rng.integers(0, 10)), float(rng.uniform(0, 20))) for _ in range(16))
+    late = tuple((int(rng.integers(0, 10)), float(rng.uniform(25, 39))) for _ in range(40))
+    cut = 25
+    a = forward(net, SpikeTrain(10, early))
+    b = forward(net, SpikeTrain(10, early + late))
+    size = a.spikes[0].values.size
+    assert len(a.events[0]) < _SCATTER_DENSITY * size < len(b.events[0])
+    assert np.any(a.spikes[1].values[:, :cut])
+    for layer in range(3):
+        np.testing.assert_array_equal(
+            a.spikes[layer].values[:, :cut], b.spikes[layer].values[:, :cut]
+        )
+    for layer in range(1, 3):
+        u = b.potentials[layer].values[:, :cut]
+        np.testing.assert_allclose(
+            a.potentials[layer].values[:, :cut], u, rtol=1e-12, atol=1e-12 * np.abs(u).max()
+        )
+
+
 def test_forward_refractory_monotonicity():
     """Removing the refractory feedback (tau_r -> larger theta via direct
     comparison) never decreases spike counts: simulate with and without
@@ -244,6 +272,6 @@ def test_spike_response_applies_per_neuron_delay():
     s = np.zeros((2, 20))
     s[0, 0] = 1.0
     s[1, 0] = 1.0
-    out = spike_response(SampledSignal(s, 1.0), np.array([0.0, 4.0]), eps)
+    out = convolve(SampledSignal(s, 1.0), eps, delay=np.array([0.0, 4.0]))
     np.testing.assert_allclose(out.values[1, 4:], out.values[0, :-4], atol=1e-12)
     assert np.all(out.values[1, :4] == 0.0)
