@@ -30,7 +30,6 @@ from .errors import (
 from .forward import SignalCache, SurrogateConfig, forward, rho, simulate_layer, soft_spike
 from .kernels import (
     Kernel,
-    KernelConfig,
     NeuronConfig,
     convolve,
     correlate,
@@ -85,7 +84,6 @@ __all__ = [
     "FormatError",
     "Gradients",
     "Kernel",
-    "KernelConfig",
     "LayerParams",
     "LayerSpec",
     "LossSpec",

@@ -1,14 +1,16 @@
 """Temporal error backpropagation with a surrogate spike derivative.
 
-The backward pass runs the chain: the output error signal is correlated
-with the (delayed) response kernel to move credit to earlier bins, scaled
-pointwise by the spike-derivative surrogate rho(u), mapped back through
-the transposed linear transition, and integrated against cached signals
-to produce weight and delay gradients.  Delay gradients pair the layer
-error with the kernel-derivative response of the layer's own spikes.
+The backward pass runs the chain: the loss turns the output error into
+credit on the output spikes (:func:`spikenet.losses.output_credit`), and
+a hidden layer's error signal is correlated with the (delayed) response
+kernel to move credit to earlier bins.  Credit is scaled pointwise by the
+spike-derivative surrogate rho(u), mapped back through the transposed
+linear transition, and integrated against cached signals to produce
+weight and delay gradients.  Delay gradients pair the layer error with
+the kernel-derivative response of the layer's own spikes.
 
 On a soft-mode forward pass (see :mod:`spikenet.forward`) the backward
-pass computes the exact gradient of the precise loss, which
+pass computes the exact gradient of the precise or count loss, which
 :func:`finite_diff_gradients` verifies.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import NumericError, ParameterError, ShapeError
 from .forward import SignalCache, SurrogateConfig, forward, rho
 from .kernels import Kernel, convolve_values, correlate_values
-from .losses import LossSpec, error_count, error_precise, loss_value
+from .losses import LossSpec, error_count, error_precise, loss_value, output_credit
 from .signals import SampledSignal, SpikeTrain
 from .topology import Network, _conv_rows, adjoint_linear
 
@@ -141,48 +143,40 @@ def backward(
     e_out: SampledSignal,
     surrogate: SurrogateConfig,
     want_trace: bool = False,
+    spec: LossSpec = LossSpec("precise"),
 ):
-    """Run the full backward pipeline from an output error signal.
+    """Run the full backward pipeline from an output error signal of the
+    loss mode of ``spec``, precise unless given.
 
     Returns Gradients, or (Gradients, BackpropTrace) with want_trace.
     """
     n_t = net.n_transitions
-    if e_out.channels != net.layer_sizes[-1]:
+    u_out = cache.potentials[n_t]
+    if e_out.values.shape != u_out.values.shape:
         raise ShapeError(
-            f"output error has {e_out.channels} channels, expected {net.layer_sizes[-1]}"
+            f"output error shape {e_out.values.shape} != potential {u_out.values.shape}"
         )
     epsilon, eps_dot = net.epsilon, net.epsilon_dot
     theta = net.neuron.theta
     ts = net.sim.ts_ms
-    weight_grads: list = [None] * n_t
-    delay_grads: list = [None] * n_t
-    errors = [None] * (n_t + 1)
+    grads = Gradients([None] * n_t, [None] * n_t)
+    errors = [None] * n_t + [e_out]
     deltas = [None] * (n_t + 1)
-    e = e_out
-    errors[n_t] = e
+    credit = output_credit(e_out, spec, epsilon, net.sim)
+    delta = SampledSignal._adopt(rho(u_out, theta, surrogate).values * credit, ts)
     for t in reversed(range(n_t)):
-        layer = t + 1
-        out_delays = (
-            net.params[layer].delays
-            if layer < n_t
-            else np.zeros(net.layer_sizes[-1])
-        )
-        delta = delta_layer(
-            e, cache.potentials[layer], epsilon, out_delays, theta, surrogate
-        )
-        deltas[layer] = delta
-        weight_grads[t] = weight_gradient(net, t, delta, cache.responses[t])
-        e = adjoint_linear(net, t, delta)
-        errors[t] = e
-        delay_grads[t] = delay_gradient(
+        deltas[t + 1] = delta
+        grads.weights[t] = weight_gradient(net, t, delta, cache.responses[t])
+        e = errors[t] = adjoint_linear(net, t, delta)
+        grads.delays[t] = delay_gradient(
             e, cache.spikes[t], eps_dot, net.params[t].delays, ts, cache.events[t]
         )
-    grads = Gradients(weight_grads, delay_grads)
-    for t in range(n_t):
-        bad = (
-            grads.weights[t] is not None and not np.all(np.isfinite(grads.weights[t]))
-        ) or not np.all(np.isfinite(grads.delays[t]))
-        if bad:
+        if t > 0:
+            delta = delta_layer(
+                e, cache.potentials[t], epsilon, net.params[t].delays, theta, surrogate
+            )
+    for t, (w, d) in enumerate(zip(grads.weights, grads.delays)):
+        if (w is not None and not np.all(np.isfinite(w))) or not np.all(np.isfinite(d)):
             raise NumericError(f"non-finite gradient in transition {t}")
     if want_trace:
         return grads, BackpropTrace(errors, deltas)

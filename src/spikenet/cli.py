@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backprop as _backprop
-from .backprop import finite_diff_gradients, output_error
+from .backprop import backward, finite_diff_gradients, output_error
 from .errors import ConfigError, SpikeNetError
 from .forward import forward
 from .losses import LossSpec
@@ -73,9 +72,8 @@ def _out_dir(args, rc: RunConfig) -> Path:
 
 def cmd_train(args) -> int:
     rc = load_config(args.config)
-    seed = rc.seed if args.seed is None else args.seed
-    cfg = rc.train_config(epochs=args.epochs, seed=seed, threads=args.threads)
-    net = rc.build_network(seed)
+    cfg = rc.train_config(epochs=args.epochs, seed=args.seed, threads=args.threads)
+    net = rc.build_network(cfg.seed)
     optim_state = rc.build_optimizer()
     train_set = rc.load_dataset("train")
     if train_set is None:
@@ -103,8 +101,8 @@ def _write_report(path: Path, rc: RunConfig, epochs: int, rows) -> None:
     lines = [
         f"architecture: {rc.architecture}",
         f"epochs: {epochs}",
-        f"loss mode: {rc.loss.mode}",
-        f"optimizer: {rc.optimizer_method}",
+        f"loss mode: {rc.train.loss.mode}",
+        f"optimizer: {rc.optimizer.method}",
     ]
     for split in ("train", "eval"):
         last = next((r for r in reversed(rows) if r.split == split), None)
@@ -157,7 +155,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     rc = load_config(args.config)
-    seed = rc.seed if args.seed is None else args.seed
+    seed = rc.train.seed if args.seed is None else args.seed
     net = rc.build_network(seed)
     rng = np.random.default_rng([seed, 1])
     # fractional delays keep finite differences away from the kernel's
@@ -167,10 +165,10 @@ def cmd_gradcheck(args) -> int:
     spikes_in = poisson_spike_train(net.layer_sizes[0], args.rate, net.sim, seed=[seed, 2])
     target = poisson_spike_train(net.layer_sizes[-1], args.target_rate, net.sim, seed=[seed, 3])
     loss = LossSpec(mode="precise")
-    cache = forward(net, spikes_in, rc.surrogate)
+    cache = forward(net, spikes_in, rc.train.surrogate)
     e = output_error(net, cache, loss, target=target)
-    analytic = _backprop.backward(net, cache, e, rc.surrogate)
-    fd = finite_diff_gradients(net, spikes_in, loss, rc.surrogate, h=args.h, target=target)
+    analytic = backward(net, cache, e, rc.train.surrogate)
+    fd = finite_diff_gradients(net, spikes_in, loss, rc.train.surrogate, h=args.h, target=target)
     worst = 0.0
     failed = False
     for t in range(net.n_transitions):

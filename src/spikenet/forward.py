@@ -89,7 +89,6 @@ class SignalCache:
     events: list
     potentials: list
     responses: list
-    soft: bool = False
 
     @property
     def output_spikes(self) -> SampledSignal:
@@ -144,9 +143,7 @@ def forward(
     events = np.sort(event_bins(spikes, net.sim))
     events = events[np.diff(events, prepend=-1) != 0]
     events.flags.writeable = False
-    cache = SignalCache(
-        spikes=[s], events=[events], potentials=[None], responses=[], soft=surrogate is not None
-    )
+    cache = SignalCache(spikes=[s], events=[events], potentials=[None], responses=[])
     epsilon, nu, theta = net.epsilon, net.nu, net.neuron.theta
     for t in range(net.n_transitions):
         response = convolve_values(

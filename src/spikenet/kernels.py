@@ -43,27 +43,6 @@ class NeuronConfig:
             raise ParameterError("theta, tau_s, tau_r must all be positive")
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Kernel time constants plus the sampling grid and truncation tolerance."""
-
-    tau_s: float
-    tau_r: float
-    theta: float
-    ts_ms: float
-    cutoff: float = 1e-6
-
-    def __post_init__(self):
-        if min(self.tau_s, self.tau_r, self.theta, self.ts_ms) <= 0.0:
-            raise ParameterError("tau_s, tau_r, theta, ts_ms must all be positive")
-        if not 0.0 < self.cutoff < 1.0:
-            raise ParameterError("cutoff must lie in (0, 1)")
-
-    @classmethod
-    def from_neuron(cls, neuron: NeuronConfig, ts_ms: float, cutoff: float = 1e-6):
-        return cls(neuron.tau_s, neuron.tau_r, neuron.theta, ts_ms, cutoff)
-
-
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """A causal kernel sampled at t = n*Ts, with its closed-form generator.
@@ -94,44 +73,48 @@ class Kernel:
         return out
 
 
-def _sample_and_truncate(cfg: KernelConfig, fn) -> Kernel:
-    ceiling = 10.0 * max(cfg.tau_s, cfg.tau_r)
-    grid = np.arange(int(np.floor(ceiling / cfg.ts_ms)) + 1) * cfg.ts_ms
+def _sample_and_truncate(neuron: NeuronConfig, ts_ms: float, cutoff: float, fn) -> Kernel:
+    if ts_ms <= 0.0:
+        raise ParameterError("ts_ms must be positive")
+    if not 0.0 < cutoff < 1.0:
+        raise ParameterError("cutoff must lie in (0, 1)")
+    ceiling = 10.0 * max(neuron.tau_s, neuron.tau_r)
+    grid = np.arange(int(np.floor(ceiling / ts_ms)) + 1) * ts_ms
     vals = fn(grid)
-    keep = np.nonzero(np.abs(vals) >= cfg.cutoff * np.max(np.abs(vals)))[0]
-    return Kernel(vals[: keep[-1] + 1], cfg.ts_ms, fn)
+    keep = np.nonzero(np.abs(vals) >= cutoff * np.max(np.abs(vals)))[0]
+    return Kernel(vals[: keep[-1] + 1], ts_ms, fn)
 
 
-def make_epsilon(cfg: KernelConfig) -> Kernel:
+def make_epsilon(neuron: NeuronConfig, ts_ms: float, cutoff: float = 1e-6) -> Kernel:
     """Spike response kernel (t/tau_s)*exp(1 - t/tau_s), peak value 1 at tau_s."""
-    tau = cfg.tau_s
+    tau = neuron.tau_s
 
     def fn(t):
         x = np.asarray(t, dtype=float) / tau
         return x * np.exp(1.0 - x)
 
-    return _sample_and_truncate(cfg, fn)
+    return _sample_and_truncate(neuron, ts_ms, cutoff, fn)
 
 
-def make_nu(cfg: KernelConfig) -> Kernel:
+def make_nu(neuron: NeuronConfig, ts_ms: float, cutoff: float = 1e-6) -> Kernel:
     """Refractory kernel -2*theta*exp(1 - t/tau_r); strictly negative, decaying."""
-    tau, theta = cfg.tau_r, cfg.theta
+    tau, theta = neuron.tau_r, neuron.theta
 
     def fn(t):
         return -2.0 * theta * np.exp(1.0 - np.asarray(t, dtype=float) / tau)
 
-    return _sample_and_truncate(cfg, fn)
+    return _sample_and_truncate(neuron, ts_ms, cutoff, fn)
 
 
-def make_epsilon_dot(cfg: KernelConfig) -> Kernel:
+def make_epsilon_dot(neuron: NeuronConfig, ts_ms: float, cutoff: float = 1e-6) -> Kernel:
     """Time derivative of the spike response kernel, (1/tau)(1 - t/tau)e^(1-t/tau)."""
-    tau = cfg.tau_s
+    tau = neuron.tau_s
 
     def fn(t):
         x = np.asarray(t, dtype=float) / tau
         return (1.0 - x) * np.exp(1.0 - x) / tau
 
-    return _sample_and_truncate(cfg, fn)
+    return _sample_and_truncate(neuron, ts_ms, cutoff, fn)
 
 
 def _delay_vector(delay, channels) -> np.ndarray:

@@ -4,7 +4,8 @@ Two error modes: a precise-timing error, the kernel-filtered difference
 between actual and desired output trains (an instantaneous van Rossum
 style distance), and a count error, constant over a scoring interval and
 proportional to the difference between actual and desired spike counts.
-The scalar loss is the time integral of half the squared error.
+The scalar loss is the time integral of half the squared error, and
+:func:`output_credit` its derivative with respect to the output spikes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError, ShapeError
-from .kernels import Kernel, convolve_values
+from .kernels import Kernel, convolve_values, correlate_values
 from .signals import SampledSignal, SimConfig, SpikeTrain, spikes_to_signal
 
 
@@ -95,3 +96,17 @@ def error_count(
 def loss_value(e: SampledSignal) -> float:
     """E = 1/2 * integral of the squared error over the window."""
     return 0.5 * e.ts_ms * float(np.sum(e.values * e.values))
+
+
+def output_credit(
+    e: SampledSignal, spec: LossSpec, epsilon: Kernel, config: SimConfig
+) -> np.ndarray:
+    """dE/ds_out / Ts for an output error ``e`` of the loss mode of ``spec``.
+
+    A precise error is epsilon * (s - target), so its credit correlates the
+    error with epsilon.  A count error depends on s only through the counts
+    over the interval bins I, so each of those bins gets Ts * |I| * e.
+    """
+    if spec.mode == "count":
+        return config.ts_ms * len(interval_bins(spec.interval, config)) * e.values
+    return correlate_values(e.values, epsilon, np.zeros(e.channels))

@@ -24,8 +24,9 @@ class OptimizerState:
     """Method tag, hyperparameters, step counter and moment buffers.
 
     Buffers are allocated lazily on the first step so a fresh state can
-    be built before the network exists.  ``delay_lr_scale`` multiplies
-    the learning rate for delay updates.
+    be built before the network exists; the counter and buffers are not
+    init parameters, so a ``dataclasses.replace`` copy starts fresh.
+    ``delay_lr_scale`` multiplies the learning rate for delay updates.
     """
 
     method: str = "adam"
@@ -35,9 +36,9 @@ class OptimizerState:
     beta2: float = 0.999
     gamma: float = 0.9
     eps_stab: float = 1e-8
-    step_count: int = 0
-    moment1: dict = field(default_factory=dict)
-    moment2: dict = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    moment1: dict = field(default_factory=dict, init=False)
+    moment2: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         self.method = self.method.lower()
@@ -55,8 +56,8 @@ class OptimizerState:
         return cls(method="sgd", learning_rate=learning_rate, **kw)
 
     @classmethod
-    def rmsprop(cls, learning_rate: float = 0.001, gamma: float = 0.9, **kw) -> "OptimizerState":
-        return cls(method="rmsprop", learning_rate=learning_rate, gamma=gamma, **kw)
+    def rmsprop(cls, learning_rate: float = 0.001, **kw) -> "OptimizerState":
+        return cls(method="rmsprop", learning_rate=learning_rate, **kw)
 
     @classmethod
     def adam(cls, learning_rate: float = 0.001, **kw) -> "OptimizerState":

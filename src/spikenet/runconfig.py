@@ -1,112 +1,109 @@
 """Run configuration files: flat ``key = value`` lines in INI sections.
 
-Unknown sections or keys are rejected so typos fail loudly.  Numeric
-validation is delegated to the module constructors, which raise with the
-offending field named.
+Unknown sections or keys are rejected so typos fail loudly, and every
+value is cast as the file loads.  Numeric validation is delegated to the
+module constructors, which raise with the offending field named.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .forward import SurrogateConfig
 from .kernels import NeuronConfig
 from .losses import LossSpec
-from .optim import OptimizerState
+from .optim import _METHODS, OptimizerState
 from .signals import SimConfig, SpikeTrain, read_events
 from .topology import Network, init_network, parse_architecture
 from .trainer import Dataset, TrainConfig
 
-_KNOWN_KEYS = {
-    "network": {"architecture", "gain", "cutoff"},
-    "simulation": {"t_ms", "ts_ms"},
-    "neuron": {"theta", "tau_s", "tau_r"},
-    "surrogate": {"alpha", "beta"},
+
+def _parse_interval(text: str) -> tuple:
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 2:
+        raise ValueError("interval must be 't0,t1'")
+    return (float(parts[0]), float(parts[1]))
+
+
+# Every key of every section, with the cast applied to its text, which
+# configparser has already stripped.  The [optimizer] and [train] keys are
+# init parameters of OptimizerState and TrainConfig, whose defaults fill the
+# keys a file leaves out.
+_KEYS = {
+    "network": {"architecture": str, "gain": float, "cutoff": float},
+    "simulation": {"t_ms": float, "ts_ms": float},
+    "neuron": {"theta": float, "tau_s": float, "tau_r": float},
+    "surrogate": {"alpha": float, "beta": float},
     "optimizer": {
-        "method",
-        "learning_rate",
-        "delay_lr_scale",
-        "beta1",
-        "beta2",
-        "gamma",
-        "eps_stab",
+        "method": str.lower,
+        "learning_rate": float,
+        "delay_lr_scale": float,
+        "beta1": float,
+        "beta2": float,
+        "gamma": float,
+        "eps_stab": float,
     },
-    "loss": {"mode", "true_count", "false_count", "interval"},
+    "loss": {
+        "mode": str.lower,
+        "true_count": float,
+        "false_count": float,
+        "interval": _parse_interval,
+    },
     "data": {
-        "inputs",
-        "targets",
-        "labels",
-        "classes",
-        "eval_inputs",
-        "eval_targets",
-        "eval_labels",
+        "inputs": str,
+        "targets": str,
+        "labels": str,
+        "classes": str,
+        "eval_inputs": str,
+        "eval_targets": str,
+        "eval_labels": str,
     },
     "train": {
-        "epochs",
-        "batch_size",
-        "seed",
-        "checkpoint_every",
-        "eval_every",
-        "threads",
+        "epochs": int,
+        "batch_size": int,
+        "seed": int,
+        "checkpoint_every": int,
+        "eval_every": int,
+        "threads": int,
     },
-    "output": {"dir"},
+    "output": {"dir": str},
 }
-
-_OPTIMIZER_DEFAULT_LR = {"sgd": 0.01, "rmsprop": 0.001, "adam": 0.001, "nadam": 0.001}
 
 
 @dataclass
 class RunConfig:
-    """Validated contents of one configuration file."""
+    """Validated contents of one configuration file.
+
+    ``optimizer`` is never stepped; :meth:`build_optimizer` hands out
+    fresh copies of it.
+    """
 
     architecture: str
     sim: SimConfig
     neuron: NeuronConfig
-    surrogate: SurrogateConfig
-    loss: LossSpec
     gain: float | None
     cutoff: float
-    optimizer_method: str
-    learning_rate: float
-    delay_lr_scale: float
-    beta1: float
-    beta2: float
-    gamma: float
-    eps_stab: float
+    optimizer: OptimizerState
+    train: TrainConfig
     data: dict
-    epochs: int
-    batch_size: int
-    seed: int
-    checkpoint_every: int
-    eval_every: int
-    threads: int
     out_dir: str
     base_dir: Path
 
     def build_network(self, seed: int | None = None) -> Network:
-        spec = parse_architecture(self.architecture)
         return init_network(
-            spec,
+            parse_architecture(self.architecture),
             self.neuron,
             self.sim,
-            seed=self.seed if seed is None else seed,
+            seed=self.train.seed if seed is None else seed,
             gain=self.gain,
             cutoff=self.cutoff,
         )
 
     def build_optimizer(self) -> OptimizerState:
-        return OptimizerState(
-            method=self.optimizer_method,
-            learning_rate=self.learning_rate,
-            delay_lr_scale=self.delay_lr_scale,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            gamma=self.gamma,
-            eps_stab=self.eps_stab,
-        )
+        return replace(self.optimizer)
 
     def train_config(
         self,
@@ -114,16 +111,8 @@ class RunConfig:
         seed: int | None = None,
         threads: int | None = None,
     ) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs if epochs is None else epochs,
-            loss=self.loss,
-            surrogate=self.surrogate,
-            batch_size=self.batch_size,
-            seed=self.seed if seed is None else seed,
-            checkpoint_every=self.checkpoint_every,
-            eval_every=self.eval_every,
-            threads=self.threads if threads is None else threads,
-        )
+        overrides = {"epochs": epochs, "seed": seed, "threads": threads}
+        return replace(self.train, **{k: v for k, v in overrides.items() if v is not None})
 
     def _resolve(self, key: str) -> Path:
         path = Path(self.data[key])
@@ -140,7 +129,7 @@ class RunConfig:
             return None
         counts = parse_architecture(self.architecture).neuron_counts
         inputs_path = self._resolve(prefix + "inputs")
-        if self.loss.mode == "precise":
+        if self.train.loss.mode == "precise":
             if prefix + "targets" not in self.data:
                 raise ConfigError(f"precise loss needs '{prefix}targets' in [data]")
             inputs = read_events(inputs_path, neuron_count=counts[0]).trains
@@ -178,23 +167,10 @@ def _read_labels(path: Path) -> list:
     return labels
 
 
-def _get(cp, section, key, cast, default=None, required=False):
-    if cp.has_option(section, key):
-        raw = cp.get(section, key)
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    if required:
+def _required(values: dict, section: str, key: str):
+    if key not in values[section]:
         raise ConfigError(f"missing required key '{key}' in section [{section}]")
-    return default
-
-
-def _parse_interval(text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError("interval must be 't0,t1'")
-    return (float(parts[0]), float(parts[1]))
+    return values[section][key]
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -207,69 +183,60 @@ def load_config(path: str | Path) -> RunConfig:
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    values = {section: {} for section in _KEYS}
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key in cp.options(section):
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
+            raw = cp.get(section, key)
+            try:
+                values[section][key] = _KEYS[section][key](raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
     sim = SimConfig(
-        t_ms=_get(cp, "simulation", "t_ms", float, required=True),
-        ts_ms=_get(cp, "simulation", "ts_ms", float, required=True),
+        t_ms=_required(values, "simulation", "t_ms"),
+        ts_ms=_required(values, "simulation", "ts_ms"),
     )
     neuron = NeuronConfig(
-        theta=_get(cp, "neuron", "theta", float, 10.0),
-        tau_s=_get(cp, "neuron", "tau_s", float, 1.0),
-        tau_r=_get(cp, "neuron", "tau_r", float, 1.0),
+        theta=values["neuron"].get("theta", 10.0),
+        tau_s=values["neuron"].get("tau_s", 1.0),
+        tau_r=values["neuron"].get("tau_r", 1.0),
     )
-    alpha = _get(cp, "surrogate", "alpha", float, 10.0)
-    beta = _get(cp, "surrogate", "beta", float, None)
-    surrogate = (
-        SurrogateConfig(alpha=alpha, beta=beta)
-        if beta is not None
-        else SurrogateConfig.for_theta(neuron.theta, alpha=alpha)
-    )
-    mode = _get(cp, "loss", "mode", str, "precise").strip().lower()
+    keys = values["surrogate"]
+    if "beta" in keys:
+        surrogate = SurrogateConfig(**keys)
+    else:
+        surrogate = SurrogateConfig.for_theta(neuron.theta, **keys)
+    loss = values["loss"]
+    mode = loss.get("mode", "precise")
     if mode == "count":
         loss = LossSpec(
             mode="count",
-            true_count=_get(cp, "loss", "true_count", float, required=True),
-            false_count=_get(cp, "loss", "false_count", float, required=True),
-            interval=_get(cp, "loss", "interval", _parse_interval, (0.0, sim.t_ms)),
+            true_count=_required(values, "loss", "true_count"),
+            false_count=_required(values, "loss", "false_count"),
+            interval=loss.get("interval", (0.0, sim.t_ms)),
         )
     else:
         loss = LossSpec(mode=mode)
-    method = _get(cp, "optimizer", "method", str, "adam").strip().lower()
-    data = {k: cp.get("data", k) for k in cp.options("data")} if cp.has_section("data") else {}
+    architecture = _required(values, "network", "architecture")
+    optimizer = values["optimizer"]
+    if optimizer.get("method") in _METHODS:  # its constructor holds its default rate
+        optimizer = getattr(OptimizerState, optimizer.pop("method"))(**optimizer)
+    else:  # the defaults, or an unknown method that the constructor names
+        optimizer = OptimizerState(**optimizer)
+    values["train"].setdefault("epochs", 100)
     return RunConfig(
-        architecture=_get(cp, "network", "architecture", str, required=True).strip(),
+        architecture=architecture,
         sim=sim,
         neuron=neuron,
-        surrogate=surrogate,
-        loss=loss,
-        gain=_get(cp, "network", "gain", float, None),
-        cutoff=_get(cp, "network", "cutoff", float, 1e-6),
-        optimizer_method=method,
-        learning_rate=_get(
-            cp,
-            "optimizer",
-            "learning_rate",
-            float,
-            _OPTIMIZER_DEFAULT_LR.get(method, 0.001),
-        ),
-        delay_lr_scale=_get(cp, "optimizer", "delay_lr_scale", float, 0.1),
-        beta1=_get(cp, "optimizer", "beta1", float, 0.9),
-        beta2=_get(cp, "optimizer", "beta2", float, 0.999),
-        gamma=_get(cp, "optimizer", "gamma", float, 0.9),
-        eps_stab=_get(cp, "optimizer", "eps_stab", float, 1e-8),
-        data=data,
-        epochs=_get(cp, "train", "epochs", int, 100),
-        batch_size=_get(cp, "train", "batch_size", int, 1),
-        seed=_get(cp, "train", "seed", int, 0),
-        checkpoint_every=_get(cp, "train", "checkpoint_every", int, 0),
-        eval_every=_get(cp, "train", "eval_every", int, 0),
-        threads=_get(cp, "train", "threads", int, 1),
-        out_dir=_get(cp, "output", "dir", str, "runs"),
+        gain=values["network"].get("gain"),
+        cutoff=values["network"].get("cutoff", 1e-6),
+        optimizer=optimizer,
+        train=TrainConfig(loss=loss, surrogate=surrogate, **values["train"]),
+        data=values["data"],
+        out_dir=values["output"].get("dir", "runs"),
         base_dir=path.parent.resolve(),
     )

@@ -22,14 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ParseError, ShapeError
-from .kernels import (
-    Kernel,
-    KernelConfig,
-    NeuronConfig,
-    make_epsilon,
-    make_epsilon_dot,
-    make_nu,
-)
+from .kernels import Kernel, NeuronConfig, make_epsilon, make_epsilon_dot, make_nu
 from .signals import SampledSignal, SimConfig
 
 
@@ -285,20 +278,16 @@ class Network:
         return self.spec.neuron_counts
 
     @cached_property
-    def _kernel_config(self) -> KernelConfig:
-        return KernelConfig.from_neuron(self.neuron, self.sim.ts_ms, self.cutoff)
-
-    @cached_property
     def epsilon(self) -> Kernel:
-        return make_epsilon(self._kernel_config)
+        return make_epsilon(self.neuron, self.sim.ts_ms, self.cutoff)
 
     @cached_property
     def nu(self) -> Kernel:
-        return make_nu(self._kernel_config)
+        return make_nu(self.neuron, self.sim.ts_ms, self.cutoff)
 
     @cached_property
     def epsilon_dot(self) -> Kernel:
-        return make_epsilon_dot(self._kernel_config)
+        return make_epsilon_dot(self.neuron, self.sim.ts_ms, self.cutoff)
 
 
 def _weight_shape(spec: NetworkSpec, t: int):

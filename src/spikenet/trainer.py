@@ -111,7 +111,7 @@ def _sample_pass(net: Network, sample, cfg: TrainConfig, with_grads: bool):
         predicted = classify(cache.output_spikes, cfg.loss.interval, net.sim)
         correct = predicted == int(label)
     loss = loss_value(e)
-    grads = backward(net, cache, e, cfg.surrogate) if with_grads else None
+    grads = backward(net, cache, e, cfg.surrogate, spec=cfg.loss) if with_grads else None
     return loss, correct, grads
 
 

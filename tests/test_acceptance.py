@@ -41,7 +41,7 @@ from spikenet import (
 )
 from spikenet.backprop import output_error
 from spikenet.errors import ParseError
-from spikenet.kernels import KernelConfig, convolve_values, correlate_values
+from spikenet.kernels import convolve_values, correlate_values
 
 
 def _report(index, name, ok, detail=""):
@@ -146,7 +146,7 @@ def test_criterion_3_adjointness():
         ts = float(rng.choice([1.0, 0.5]))
         ch = int(rng.integers(1, 6))
         n = int(rng.integers(10, 60))
-        eps = make_epsilon(KernelConfig.from_neuron(NeuronConfig(5.0, tau_s, 1.0), ts))
+        eps = make_epsilon(NeuronConfig(5.0, tau_s, 1.0), ts)
         x = rng.normal(size=(ch, n))
         y = rng.normal(size=(ch, n))
         delays = rng.uniform(0.0, 3.0, size=ch)
@@ -177,19 +177,19 @@ def test_criterion_4_kernel_values_and_derivative():
     t0 = time.monotonic()
     worst = 0.0
     for tau_s, tau_r, theta, ts in [(2.0, 1.0, 10.0, 1.0), (3.0, 7.0, 4.0, 0.5)]:
-        cfg = KernelConfig.from_neuron(NeuronConfig(theta, tau_s, tau_r), ts)
+        cfg = (NeuronConfig(theta, tau_s, tau_r), ts)
         for kernel, ref in [
-            (make_epsilon(cfg), lambda t: ref_epsilon(t, tau_s)),
-            (make_nu(cfg), lambda t: ref_nu(t, theta, tau_r)),
-            (make_epsilon_dot(cfg), lambda t: ref_epsilon_dot(t, tau_s)),
+            (make_epsilon(*cfg), lambda t: ref_epsilon(t, tau_s)),
+            (make_nu(*cfg), lambda t: ref_nu(t, theta, tau_r)),
+            (make_epsilon_dot(*cfg), lambda t: ref_epsilon_dot(t, tau_s)),
         ]:
             grid = np.arange(len(kernel.samples)) * ts
             want = np.array([ref(t) for t in grid])
             worst = max(worst, float(np.max(np.abs(kernel.samples - want))))
     errs = []
     for ts in (0.1, 0.05):
-        cfg = KernelConfig.from_neuron(NeuronConfig(10.0, 2.0, 1.0), ts)
-        eps, dot = make_epsilon(cfg), make_epsilon_dot(cfg)
+        cfg = (NeuronConfig(10.0, 2.0, 1.0), ts)
+        eps, dot = make_epsilon(*cfg), make_epsilon_dot(*cfg)
         n = np.arange(int(1.0 / ts), int(10.0 / ts))
         fd = (eps.samples[n + 1] - eps.samples[n - 1]) / (2.0 * ts)
         errs.append(float(np.max(np.abs(fd - dot.samples[n]))))

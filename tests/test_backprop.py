@@ -313,7 +313,6 @@ def test_soft_forward_has_no_refractory_feedback():
     spikes = _poisson_in(net, 150.0, 5)
     surrogate = SurrogateConfig(10.0, 0.5)
     cache = soft_forward(net, spikes, surrogate)
-    assert cache.soft
     g = soft_spike(cache.potentials[1], net.neuron.theta, surrogate)
     np.testing.assert_array_equal(cache.spikes[1].values, g.values)
 
@@ -338,20 +337,35 @@ def test_gradients_container_helpers():
     assert np.all(z.weights[0] == 1.0)
 
 
-def test_finite_differences_confirm_soft_gradients():
+_FD_SPECS = pytest.mark.parametrize(
+    "spec",
+    [LossSpec("precise"), LossSpec("count", 6.0, 2.0, (5.0, 25.0))],
+    ids=["precise", "count"],
+)
+
+
+def _fd_sample(net, spec, seed):
+    """Input train and the target (precise) or label (count) of one sample."""
+    spikes = poisson_spike_train(net.layer_sizes[0], 150.0, net.sim, [seed, 1])
+    if spec.mode == "precise":
+        target = poisson_spike_train(net.layer_sizes[-1], 80.0, net.sim, [seed, 2])
+        return spikes, {"target": target}
+    return spikes, {"label": seed % net.layer_sizes[-1]}
+
+
+@_FD_SPECS
+def test_finite_differences_confirm_soft_gradients(spec):
     """On a gently scaled network every analytic weight and delay
     gradient agrees with central differences of the soft loss."""
     surrogate = SurrogateConfig(alpha=10.0, beta=0.5)
-    spec = LossSpec("precise")
     worst = 0.0
     for seed in range(3):
         net = well_conditioned_net(seed)
-        spikes = poisson_spike_train(4, 150.0, net.sim, [seed, 1])
-        target = poisson_spike_train(3, 80.0, net.sim, [seed, 2])
+        spikes, kw = _fd_sample(net, spec, seed)
         cache = soft_forward(net, spikes, surrogate)
-        e_out = output_error(net, cache, spec, target=target)
-        got = backward(net, cache, e_out, surrogate)
-        fd = finite_diff_gradients(net, spikes, spec, surrogate, h=1e-5, target=target)
+        e_out = output_error(net, cache, spec, **kw)
+        got = backward(net, cache, e_out, surrogate, spec=spec)
+        fd = finite_diff_gradients(net, spikes, spec, surrogate, h=1e-5, **kw)
         for t in range(net.n_transitions):
             for g, f in ((got.weights[t], fd.weights[t]), (got.delays[t], fd.delays[t])):
                 rel = np.abs(g - f) / np.maximum(np.abs(f), 1e-8)
@@ -359,21 +373,20 @@ def test_finite_differences_confirm_soft_gradients():
     assert worst <= 1e-4
 
 
+@_FD_SPECS
 @pytest.mark.parametrize("arch", ["4x4x2-2c2-3", "5x5x2-2c2-2a-3"])
-def test_finite_differences_confirm_conv_and_aggregate_gradients(arch):
+def test_finite_differences_confirm_conv_and_aggregate_gradients(arch, spec):
     """Conv weight gradients, and delay gradients behind conv and
     aggregation maps, agree with central differences of the soft loss."""
     surrogate = SurrogateConfig(alpha=10.0, beta=0.5)
-    spec = LossSpec("precise")
     worst = 0.0
     for seed in range(3):
         net = well_conditioned_net(seed, arch)
-        spikes = poisson_spike_train(net.layer_sizes[0], 150.0, net.sim, [seed, 1])
-        target = poisson_spike_train(net.layer_sizes[-1], 80.0, net.sim, [seed, 2])
+        spikes, kw = _fd_sample(net, spec, seed)
         cache = soft_forward(net, spikes, surrogate)
-        e_out = output_error(net, cache, spec, target=target)
-        got = backward(net, cache, e_out, surrogate)
-        fd = finite_diff_gradients(net, spikes, spec, surrogate, h=1e-5, target=target)
+        e_out = output_error(net, cache, spec, **kw)
+        got = backward(net, cache, e_out, surrogate, spec=spec)
+        fd = finite_diff_gradients(net, spikes, spec, surrogate, h=1e-5, **kw)
         for t in range(net.n_transitions):
             pairs = [(got.delays[t], fd.delays[t])]
             if got.weights[t] is not None:

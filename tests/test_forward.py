@@ -18,11 +18,11 @@ from spikenet import (
 )
 from spikenet.errors import NumericError, ShapeError
 from spikenet.forward import simulate_layer
-from spikenet.kernels import _SCATTER_DENSITY, KernelConfig, convolve, make_epsilon
+from spikenet.kernels import _SCATTER_DENSITY, convolve, make_epsilon
 
 
 def _nu(theta=10.0, tau_r=1.0, ts=1.0):
-    return make_nu(KernelConfig.from_neuron(NeuronConfig(theta, 2.0, tau_r), ts))
+    return make_nu(NeuronConfig(theta, 2.0, tau_r), ts)
 
 
 def test_silent_below_threshold():
@@ -117,7 +117,7 @@ def test_forward_one_input_spike_drives_one_neuron():
     response kernel and the neuron fires at the first crossing."""
     net = _pass_through_net(weight=25.0)
     cache = forward(net, SpikeTrain(1, ((0, 2.5),)))
-    eps = make_epsilon(KernelConfig.from_neuron(net.neuron, 1.0))
+    eps = make_epsilon(net.neuron, 1.0)
     # feedforward part of the potential: 25 * eps(t - t_spike)
     crossing = next(
         n for n in range(30) if 25.0 * eps.evaluate((n - 2) * 1.0) >= 10.0
@@ -268,7 +268,7 @@ def test_forward_rejects_channel_mismatch():
 
 
 def test_spike_response_applies_per_neuron_delay():
-    eps = make_epsilon(KernelConfig.from_neuron(NeuronConfig(10.0, 2.0, 1.0), 1.0))
+    eps = make_epsilon(NeuronConfig(10.0, 2.0, 1.0), 1.0)
     s = np.zeros((2, 20))
     s[0, 0] = 1.0
     s[1, 0] = 1.0

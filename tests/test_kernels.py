@@ -13,7 +13,6 @@ from conftest import (
 )
 from spikenet import (
     Kernel,
-    KernelConfig,
     NeuronConfig,
     SampledSignal,
     convolve,
@@ -27,11 +26,11 @@ from spikenet.kernels import convolve_values, correlate_values
 
 
 def _config(tau_s=2.0, tau_r=1.0, theta=10.0, ts=1.0, cutoff=1e-6):
-    return KernelConfig.from_neuron(NeuronConfig(theta, tau_s, tau_r), ts, cutoff)
+    return NeuronConfig(theta, tau_s, tau_r), ts, cutoff
 
 
 def test_epsilon_landmarks():
-    eps = make_epsilon(_config(tau_s=2.0))
+    eps = make_epsilon(*_config(tau_s=2.0))
     assert eps.evaluate(0.0) == 0.0
     assert eps.evaluate(2.0) == pytest.approx(1.0, abs=1e-15)
     assert eps.evaluate(4.0) == pytest.approx(2.0 * np.exp(-1.0), abs=1e-12)
@@ -42,7 +41,7 @@ def test_epsilon_landmarks():
 
 def test_nu_landmarks():
     theta = 7.0
-    nu = make_nu(_config(tau_r=1.5, theta=theta))
+    nu = make_nu(*_config(tau_r=1.5, theta=theta))
     assert nu.evaluate(0.0) == pytest.approx(-2.0 * theta * np.e, rel=1e-15)
     assert nu.evaluate(0.0) == pytest.approx(-5.43656 * theta, abs=1e-4)
     assert nu.evaluate(1.5) == pytest.approx(-2.0 * theta, rel=1e-15)
@@ -52,7 +51,7 @@ def test_nu_landmarks():
 
 def test_epsilon_dot_landmarks():
     tau_s = 2.5
-    dot = make_epsilon_dot(_config(tau_s=tau_s))
+    dot = make_epsilon_dot(*_config(tau_s=tau_s))
     assert dot.evaluate(0.0) == pytest.approx(np.e / tau_s, rel=1e-15)
     assert dot.evaluate(tau_s) == 0.0
     assert dot.evaluate(0.5 * tau_s) > 0 > dot.evaluate(2.0 * tau_s)
@@ -64,9 +63,9 @@ def test_samples_match_closed_forms(ts, tau_s, tau_r):
     theta = 4.0
     cfg = _config(tau_s=tau_s, tau_r=tau_r, theta=theta, ts=ts)
     for kernel, ref in [
-        (make_epsilon(cfg), lambda t: ref_epsilon(t, tau_s)),
-        (make_nu(cfg), lambda t: ref_nu(t, theta, tau_r)),
-        (make_epsilon_dot(cfg), lambda t: ref_epsilon_dot(t, tau_s)),
+        (make_epsilon(*cfg), lambda t: ref_epsilon(t, tau_s)),
+        (make_nu(*cfg), lambda t: ref_nu(t, theta, tau_r)),
+        (make_epsilon_dot(*cfg), lambda t: ref_epsilon_dot(t, tau_s)),
     ]:
         grid = np.arange(len(kernel.samples)) * ts
         want = np.array([ref(t) for t in grid])
@@ -74,7 +73,7 @@ def test_samples_match_closed_forms(ts, tau_s, tau_r):
 
 
 def test_evaluate_is_zero_outside_support():
-    eps = make_epsilon(_config())
+    eps = make_epsilon(*_config())
     assert eps.evaluate(-0.001) == 0.0
     assert eps.evaluate(eps.support_end + 1e-9) == 0.0
     assert np.all(eps.evaluate(np.array([-5.0, 1e9])) == 0.0)
@@ -82,21 +81,21 @@ def test_evaluate_is_zero_outside_support():
 
 def test_evaluate_at_fractional_times():
     tau_s = 2.0
-    eps = make_epsilon(_config(tau_s=tau_s))
+    eps = make_epsilon(*_config(tau_s=tau_s))
     tt = np.linspace(0.05, 9.95, 37)
     want = np.array([ref_epsilon(t, tau_s) for t in tt])
     np.testing.assert_allclose(eps.evaluate(tt), want, atol=1e-14)
 
 
 def test_support_scales_with_time_constants():
-    short = make_epsilon(_config(tau_s=2.0, tau_r=1.0))
-    long = make_epsilon(_config(tau_s=6.0, tau_r=1.0))
+    short = make_epsilon(*_config(tau_s=2.0, tau_r=1.0))
+    long = make_epsilon(*_config(tau_s=6.0, tau_r=1.0))
     assert long.support_end > short.support_end
 
 
 def test_convolve_impulse_reproduces_kernel():
     cfg = _config(tau_s=2.0, ts=1.0)
-    eps = make_epsilon(cfg)
+    eps = make_epsilon(*cfg)
     ref = truncate_ref(lambda t: ref_epsilon(t, 2.0), eps.support_end)
     x = np.zeros((1, 40))
     x[0, 0] = 1.0  # amplitude 1/Ts with Ts = 1
@@ -107,7 +106,7 @@ def test_convolve_impulse_reproduces_kernel():
 
 def test_convolve_integer_delay_shifts():
     cfg = _config(tau_s=2.0)
-    eps = make_epsilon(cfg)
+    eps = make_epsilon(*cfg)
     x = np.zeros((1, 30))
     x[0, 0] = 1.0
     base = convolve(SampledSignal(x, 1.0), eps).values[0]
@@ -117,7 +116,7 @@ def test_convolve_integer_delay_shifts():
 
 
 def test_convolve_fractional_delay_resamples_closed_form():
-    eps = make_epsilon(_config(tau_s=2.0))
+    eps = make_epsilon(*_config(tau_s=2.0))
     ref = truncate_ref(lambda t: ref_epsilon(t, 2.0), eps.support_end)
     x = np.zeros((1, 30))
     x[0, 0] = 1.0
@@ -129,7 +128,7 @@ def test_convolve_fractional_delay_resamples_closed_form():
 @pytest.mark.parametrize("ts", [1.0, 0.5])
 def test_convolve_matches_reference(ts):
     tau_s = 1.7
-    eps = make_epsilon(_config(tau_s=tau_s, ts=ts))
+    eps = make_epsilon(*_config(tau_s=tau_s, ts=ts))
     ref = truncate_ref(lambda t: ref_epsilon(t, tau_s), eps.support_end)
     for seed in range(4):
         rng = np.random.default_rng(seed)
@@ -143,7 +142,7 @@ def test_convolve_matches_reference(ts):
 
 def test_correlate_matches_reference():
     tau_s = 2.3
-    eps = make_epsilon(_config(tau_s=tau_s, ts=1.0))
+    eps = make_epsilon(*_config(tau_s=tau_s, ts=1.0))
     ref = truncate_ref(lambda t: ref_epsilon(t, tau_s), eps.support_end)
     for seed in range(4):
         rng = np.random.default_rng(100 + seed)
@@ -156,7 +155,7 @@ def test_correlate_matches_reference():
 
 
 def test_correlate_impulse_reads_kernel_backwards():
-    eps = make_epsilon(_config(tau_s=2.0))
+    eps = make_epsilon(*_config(tau_s=2.0))
     ref = truncate_ref(lambda t: ref_epsilon(t, 2.0), eps.support_end)
     x = np.zeros((1, 25))
     x[0, -1] = 1.0
@@ -167,7 +166,7 @@ def test_correlate_impulse_reads_kernel_backwards():
 
 def test_convolve_correlate_adjoint():
     """<K x, y> == <x, K* y> for the same kernel and delay."""
-    eps = make_epsilon(_config(tau_s=2.0, tau_r=3.0))
+    eps = make_epsilon(*_config(tau_s=2.0, tau_r=3.0))
     for seed in range(10):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(4, 40))
@@ -179,7 +178,7 @@ def test_convolve_correlate_adjoint():
 
 
 def test_convolve_linearity():
-    eps = make_epsilon(_config())
+    eps = make_epsilon(*_config())
     rng = np.random.default_rng(9)
     x = SampledSignal(rng.normal(size=(2, 30)), 1.0)
     y = SampledSignal(rng.normal(size=(2, 30)), 1.0)
@@ -193,8 +192,8 @@ def test_truncation_error_is_bounded():
     """Shortening the support via a coarser cutoff moves any output by at
     most cutoff * max|kernel| * sum|x| * Ts."""
     coarse = 2e-2
-    eps_full = make_epsilon(_config(tau_s=1.0, cutoff=1e-9))
-    eps_cut = make_epsilon(_config(tau_s=1.0, cutoff=coarse))
+    eps_full = make_epsilon(*_config(tau_s=1.0, cutoff=1e-9))
+    eps_cut = make_epsilon(*_config(tau_s=1.0, cutoff=coarse))
     assert eps_cut.support_end < eps_full.support_end
     rng = np.random.default_rng(2)
     x = rng.uniform(0.0, 2.0, size=(1, 80))
@@ -205,13 +204,13 @@ def test_truncation_error_is_bounded():
 
 
 def test_convolve_rejects_grid_mismatch():
-    eps = make_epsilon(_config(ts=1.0))
+    eps = make_epsilon(*_config(ts=1.0))
     with pytest.raises(ConfigError):
         convolve(SampledSignal(np.zeros((1, 10)), 0.5), eps)
 
 
 def test_convolve_rejects_negative_delay():
-    eps = make_epsilon(_config())
+    eps = make_epsilon(*_config())
     with pytest.raises(ParameterError):
         convolve(SampledSignal(np.zeros((1, 10)), 1.0), eps, delay=-0.5)
 
@@ -223,9 +222,25 @@ def test_epsilon_dot_matches_central_difference_quadratically():
     errs = []
     for ts in (0.1, 0.05):
         cfg = _config(tau_s=tau_s, ts=ts)
-        eps, dot = make_epsilon(cfg), make_epsilon_dot(cfg)
+        eps, dot = make_epsilon(*cfg), make_epsilon_dot(*cfg)
         n = np.arange(int(1.0 / ts), int(10.0 / ts))
         fd = (eps.samples[n + 1] - eps.samples[n - 1]) / (2.0 * ts)
         errs.append(np.max(np.abs(fd - dot.samples[n])))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.5
+
+
+@pytest.mark.parametrize("make", [make_epsilon, make_nu, make_epsilon_dot])
+@pytest.mark.parametrize(
+    "ts,cutoff,message",
+    [
+        (0.0, 1e-6, "ts_ms must be positive"),
+        (-1.0, 1e-6, "ts_ms must be positive"),
+        (1.0, 0.0, "cutoff must lie in"),
+        (1.0, 1.0, "cutoff must lie in"),
+        (1.0, -0.5, "cutoff must lie in"),
+    ],
+)
+def test_kernel_makers_reject_bad_grid_and_cutoff(make, ts, cutoff, message):
+    with pytest.raises(ParameterError, match=message):
+        make(NeuronConfig(10.0, 2.0, 1.0), ts, cutoff)

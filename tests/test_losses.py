@@ -18,12 +18,11 @@ from spikenet import (
     spikes_to_signal,
 )
 from spikenet.errors import ParameterError, RangeError
-from spikenet.kernels import KernelConfig
 from spikenet.losses import interval_bins
 
 
 def _eps(tau_s=2.0, ts=1.0):
-    return make_epsilon(KernelConfig.from_neuron(NeuronConfig(10.0, tau_s, 1.0), ts))
+    return make_epsilon(NeuronConfig(10.0, tau_s, 1.0), ts)
 
 
 def test_loss_spec_validation():

@@ -1,13 +1,18 @@
 """Configuration file loading and defaults."""
 
+import numpy as np
 import pytest
 
+from conftest import manual_network
 from spikenet import (
+    Gradients,
+    NeuronConfig,
     SimConfig,
     SpikeTrain,
     SpikeTrainSet,
     load_config,
     poisson_spike_train,
+    step,
     write_events,
 )
 from spikenet.errors import ConfigError, ParseError
@@ -33,11 +38,11 @@ ts_ms = 1
     assert rc.neuron.theta == 10.0
     assert rc.neuron.tau_s == 1.0
     assert rc.neuron.tau_r == 1.0
-    assert rc.surrogate.alpha == 10.0
-    assert rc.surrogate.beta == pytest.approx(5.0 / rc.neuron.theta)
-    assert rc.loss.mode == "precise"
-    assert rc.optimizer_method == "adam"
-    assert rc.epochs == 100
+    assert rc.train.surrogate.alpha == 10.0
+    assert rc.train.surrogate.beta == pytest.approx(5.0 / rc.neuron.theta)
+    assert rc.train.loss.mode == "precise"
+    assert rc.optimizer.method == "adam"
+    assert rc.train.epochs == 100
     assert rc.out_dir == "runs"
 
 
@@ -55,8 +60,8 @@ mode = count
 true_count = 9
 false_count = 2
 """))
-    assert rc.loss.interval == (0.0, 40.0)
-    assert rc.loss.true_count == 9.0
+    assert rc.train.loss.interval == (0.0, 40.0)
+    assert rc.train.loss.true_count == 9.0
 
 
 def test_interval_key_parses_pair(tmp_path):
@@ -74,7 +79,7 @@ true_count = 9
 false_count = 2
 interval = 5, 35
 """))
-    assert rc.loss.interval == (5.0, 35.0)
+    assert rc.train.loss.interval == (5.0, 35.0)
 
 
 def test_inline_comments_are_stripped(tmp_path):
@@ -133,8 +138,66 @@ method = {method}
 """
     sgd = load_config(_write(tmp_path, base.format(method="sgd"), "sgd.cfg"))
     adam = load_config(_write(tmp_path, base.format(method="adam"), "adam.cfg"))
-    assert sgd.optimizer_method == "sgd"
-    assert sgd.learning_rate > adam.learning_rate
+    assert sgd.optimizer.method == "sgd"
+    assert sgd.optimizer.learning_rate > adam.optimizer.learning_rate
+
+
+_EVERY_KEY = """
+[network]
+architecture = 10-4
+
+[simulation]
+t_ms = 40
+ts_ms = 1
+
+[optimizer]
+method = rmsprop
+learning_rate = 0.02
+delay_lr_scale = 0.3
+beta1 = 0.8
+beta2 = 0.99
+gamma = 0.7
+eps_stab = 1e-6
+
+[train]
+epochs = 7
+batch_size = 3
+seed = 11
+checkpoint_every = 2
+eval_every = 4
+threads = 2
+"""
+
+
+def test_every_optimizer_and_train_key_reaches_the_builds(tmp_path):
+    rc = load_config(_write(tmp_path, _EVERY_KEY))
+    opt = rc.build_optimizer()
+    assert (opt.method, opt.learning_rate, opt.delay_lr_scale) == ("rmsprop", 0.02, 0.3)
+    assert (opt.beta1, opt.beta2, opt.gamma, opt.eps_stab) == (0.8, 0.99, 0.7, 1e-6)
+    cfg = rc.train_config()
+    assert (cfg.epochs, cfg.batch_size, cfg.seed) == (7, 3, 11)
+    assert (cfg.checkpoint_every, cfg.eval_every, cfg.threads) == (2, 4, 2)
+    assert cfg.loss == rc.train.loss and cfg.surrogate == rc.train.surrogate
+    over = rc.train_config(epochs=0, seed=5, threads=1)
+    assert (over.epochs, over.seed, over.threads, over.batch_size) == (0, 5, 1, 3)
+    assert rc.train_config().epochs == 7
+
+
+def test_built_optimizers_share_no_state(tmp_path):
+    rc = load_config(_write(tmp_path, _EVERY_KEY))
+    first, second = rc.build_optimizer(), rc.build_optimizer()
+    net = manual_network(
+        "1-1",
+        [np.array([[0.5]])],
+        [np.array([1.0])],
+        NeuronConfig(10.0, 2.0, 1.0),
+        SimConfig(10.0, 1.0),
+    )
+    step(first, net, Gradients([np.array([[1.0]])], [np.array([1.0])]))
+    assert first.step_count == 1 and first.moment2
+    assert second.step_count == 0 and not second.moment1 and not second.moment2
+    assert rc.optimizer.step_count == 0 and not rc.optimizer.moment2
+    assert rc.build_optimizer().step_count == 0
 
 
 def _count_config(tmp_path, inputs_name):

@@ -7,7 +7,6 @@ import pytest
 import spikenet.kernels
 from conftest import ref_convolve, ref_epsilon, ref_epsilon_dot, truncate_ref
 from spikenet import (
-    KernelConfig,
     LossSpec,
     NeuronConfig,
     SampledSignal,
@@ -74,8 +73,8 @@ def test_event_scatter_matches_dense_and_reference(signal, data):
     values, events, ts = signal
     assert len(events) < values.size / 16  # the scatter, not the fallback
     use_dot = data.draw(st.booleans())
-    cfg = KernelConfig.from_neuron(NeuronConfig(10.0, TAU_S, 1.0), ts)
-    kernel = make_epsilon_dot(cfg) if use_dot else make_epsilon(cfg)
+    cfg = (NeuronConfig(10.0, TAU_S, 1.0), ts)
+    kernel = make_epsilon_dot(*cfg) if use_dot else make_epsilon(*cfg)
     fn = ref_epsilon_dot if use_dot else ref_epsilon
     ref = truncate_ref(lambda t: fn(t, TAU_S), kernel.support_end)
     delays = np.array(
@@ -95,7 +94,7 @@ def test_event_scatter_matches_dense_and_reference(signal, data):
 
 
 def test_event_scatter_of_no_events_is_zero():
-    eps = make_epsilon(KernelConfig.from_neuron(NeuronConfig(10.0, 2.0, 1.0), 1.0))
+    eps = make_epsilon(NeuronConfig(10.0, 2.0, 1.0), 1.0)
     events = np.zeros(0, dtype=np.intp)
     out = convolve_values(np.zeros((3, 20)), eps, np.ones(3), events)
     np.testing.assert_array_equal(out, np.zeros((3, 20)))
@@ -105,7 +104,7 @@ def test_event_scatter_of_no_events_is_zero():
 def test_simulate_layer_events_are_its_spikes(seed):
     rng = np.random.default_rng(seed)
     theta, ts = 10.0, 0.5
-    nu = make_nu(KernelConfig.from_neuron(NeuronConfig(theta, 2.0, 1.0), ts))
+    nu = make_nu(NeuronConfig(theta, 2.0, 1.0), ts)
     u_ff = SampledSignal(rng.uniform(0.0, 12.0, size=(7, 40)), ts)
     s, _, events = simulate_layer(u_ff, nu, theta)
     n = s.n_samples
