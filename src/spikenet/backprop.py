@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .forward import SignalCache, SurrogateConfig, forward, rho
+from .forward import SignalCache, SurrogateConfig, _rho_values, forward
 from .kernels import Kernel, convolve_values, correlate_values
 from .losses import LossSpec, error_count, error_precise, loss_value, output_credit
 from .signals import SampledSignal, SpikeTrain
@@ -45,11 +45,19 @@ class Gradients:
         d = [np.zeros_like(p.delays) for p in net.params]
         return cls(w, d)
 
-    def add_scaled(self, other: "Gradients", scale: float) -> None:
-        for t in range(len(self.delays)):
-            if self.weights[t] is not None:
-                self.weights[t] += scale * other.weights[t]
-            self.delays[t] += scale * other.delays[t]
+    def _arrays(self) -> list:
+        return [a for a in self.weights + self.delays if a is not None]
+
+    def clear(self) -> None:
+        for a in self._arrays():
+            a.fill(0.0)
+
+    def absorb(self, other: "Gradients", scale: float) -> None:
+        """self += scale * other, scaling ``other`` in place on the way, so
+        no gradient-sized temporary is made and ``other`` is spent."""
+        for mine, theirs in zip(self._arrays(), other._arrays()):
+            theirs *= scale
+            mine += theirs
 
 
 @dataclass(eq=False)
@@ -95,28 +103,38 @@ def delta_layer(
     if e.values.shape != u.values.shape:
         raise ShapeError(f"error shape {e.values.shape} != potential {u.values.shape}")
     corr = correlate_values(e.values, epsilon, np.asarray(delays, dtype=np.float64))
-    return SampledSignal._adopt(rho(u, theta, cfg).values * corr, e.ts_ms)
+    values = _rho_values(u.values, theta, cfg)
+    values *= corr
+    return SampledSignal._adopt(values, e.ts_ms)
 
 
 def weight_gradient(
-    net: Network, t: int, delta: SampledSignal, a: SampledSignal
+    net: Network, t: int, delta: SampledSignal, a: SampledSignal, out=None
 ) -> np.ndarray | None:
     """Time integral of delta against the presynaptic response, in the
-    weight layout of transition t; None for frozen aggregations."""
+    weight layout of transition t; None for frozen aggregations.
+
+    ``out``, a C-contiguous array of that layout, receives the result."""
     kind = net.spec.layers[t + 1].kind
     ts = delta.ts_ms
-    if kind == "dense":
-        return ts * (delta.values @ a.values.T)
     if kind == "aggregate":
         return None
+    if kind == "dense":
+        out = np.matmul(delta.values, a.values.T, out=out)
+        out *= ts
+        return out
     src, dst = net.spec.shapes[t], net.spec.shapes[t + 1]
     k = net.spec.layers[t + 1].kernel_size
     x = a.values.reshape(src.channels, src.height, -1)
     d = delta.values.reshape(dst.channels, dst.height, -1)
-    grad = np.zeros((dst.channels, src.channels * k * k))
+    if out is None:
+        out = np.empty((dst.channels, src.channels, k, k))
+    grad = out.reshape(dst.channels, -1)
+    grad.fill(0.0)
     for i, block in _conv_rows(x, k, dst.width):
         grad += d[:, i] @ block.T
-    return ts * grad.reshape(dst.channels, src.channels, k, k)
+    grad *= ts
+    return out
 
 
 def delay_gradient(
@@ -126,15 +144,20 @@ def delay_gradient(
     delays: np.ndarray,
     ts: float,
     events=None,
+    out=None,
 ) -> np.ndarray:
     """Per-neuron -integral of the response time-derivative against the error.
 
     Moving a delay later shifts the response right; the sign makes the
     gradient point toward increasing loss as delays grow.  ``events`` are
-    the spike events of s, as in :func:`convolve_values`.
+    the spike events of s, as in :func:`convolve_values`; ``out`` receives
+    the result.
     """
     adot = convolve_values(s.values, epsilon_dot, np.asarray(delays, dtype=np.float64), events)
-    return -ts * np.sum(adot * e.values, axis=1)
+    adot *= e.values
+    out = np.sum(adot, axis=1, out=out)
+    out *= -ts
+    return out
 
 
 def backward(
@@ -144,11 +167,14 @@ def backward(
     surrogate: SurrogateConfig,
     want_trace: bool = False,
     spec: LossSpec = LossSpec("precise"),
+    out: Gradients | None = None,
 ):
     """Run the full backward pipeline from an output error signal of the
     loss mode of ``spec``, precise unless given.
 
-    Returns Gradients, or (Gradients, BackpropTrace) with want_trace.
+    Returns Gradients, or (Gradients, BackpropTrace) with want_trace.  The
+    gradients are written into ``out`` (laid out as
+    :meth:`Gradients.zeros_like`) when it is given, else into new arrays.
     """
     n_t = net.n_transitions
     u_out = cache.potentials[n_t]
@@ -159,17 +185,22 @@ def backward(
     epsilon, eps_dot = net.epsilon, net.epsilon_dot
     theta = net.neuron.theta
     ts = net.sim.ts_ms
-    grads = Gradients([None] * n_t, [None] * n_t)
+    grads = Gradients([None] * n_t, [None] * n_t) if out is None else out
     errors = [None] * n_t + [e_out]
     deltas = [None] * (n_t + 1)
     credit = output_credit(e_out, spec, epsilon, net.sim)
-    delta = SampledSignal._adopt(rho(u_out, theta, surrogate).values * credit, ts)
+    values = _rho_values(u_out.values, theta, surrogate)
+    values *= credit
+    delta = SampledSignal._adopt(values, ts)
     for t in reversed(range(n_t)):
         deltas[t + 1] = delta
-        grads.weights[t] = weight_gradient(net, t, delta, cache.responses[t])
+        grads.weights[t] = weight_gradient(
+            net, t, delta, cache.responses[t], grads.weights[t]
+        )
         e = errors[t] = adjoint_linear(net, t, delta)
         grads.delays[t] = delay_gradient(
-            e, cache.spikes[t], eps_dot, net.params[t].delays, ts, cache.events[t]
+            e, cache.spikes[t], eps_dot, net.params[t].delays, ts, cache.events[t],
+            grads.delays[t],
         )
         if t > 0:
             delta = delta_layer(

@@ -53,10 +53,19 @@ class SurrogateConfig:
         return cls(alpha=alpha, beta=5.0 / theta)
 
 
+def _rho_values(u: np.ndarray, theta: float, cfg: SurrogateConfig) -> np.ndarray:
+    """rho of a potential array as a new writable array, built in one buffer."""
+    out = u - theta
+    np.abs(out, out=out)
+    out *= -cfg.beta
+    np.exp(out, out=out)
+    out /= cfg.alpha
+    return out
+
+
 def rho(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
     """Pointwise surrogate derivative of the spike function at potential u."""
-    values = np.exp(-cfg.beta * np.abs(u.values - theta)) / cfg.alpha
-    return SampledSignal._adopt(values, u.ts_ms)
+    return SampledSignal._adopt(_rho_values(u.values, theta, cfg), u.ts_ms)
 
 
 def soft_spike(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
@@ -107,18 +116,17 @@ def simulate_layer(u_ff: SampledSignal, nu: Kernel, theta: float) -> tuple:
     ts = u_ff.ts_ms
     nu_samples = nu.samples
     u = u_ff.values.copy()
-    s = np.zeros((channels, n))
-    amplitude = 1.0 / ts
     events = []
     for m in range(n):
-        fired = np.flatnonzero(u[:, m] >= theta)
+        fired = (u[:, m] >= theta).nonzero()[0]
         if fired.size:
-            s[fired, m] = amplitude
             reach = min(len(nu_samples), n - m)
             u[fired, m : m + reach] += nu_samples[:reach]
             events.append(fired * n + m)
     events = np.concatenate(events) if events else np.zeros(0, dtype=np.intp)
     events.flags.writeable = False
+    s = np.zeros((channels, n))
+    s.reshape(-1)[events] = 1.0 / ts
     return SampledSignal._adopt(s, ts), SampledSignal._adopt(u, ts), events
 
 

@@ -181,7 +181,9 @@ def convolve_values(values, kernel: Kernel, delays, events=None) -> np.ndarray:
     windows = sliding_window_view(padded, taps, axis=1)
     # taps built last to first: a reversed view makes einsum 1.5x slower
     kr = _delayed_taps(kernel, delays, np.arange(taps)[::-1])
-    return kernel.ts_ms * np.einsum("cnj,cj->cn", windows, kr)
+    out = np.einsum("cnj,cj->cn", windows, kr)
+    out *= kernel.ts_ms
+    return out
 
 
 def correlate_values(values, kernel: Kernel, delays) -> np.ndarray:
@@ -192,7 +194,9 @@ def correlate_values(values, kernel: Kernel, delays) -> np.ndarray:
     kd = _delayed_taps(kernel, delays, np.arange(taps))
     padded = np.pad(values, ((0, 0), (0, taps - 1)))
     windows = sliding_window_view(padded, taps, axis=1)
-    return kernel.ts_ms * np.einsum("cnj,cj->cn", windows, kd)
+    out = np.einsum("cnj,cj->cn", windows, kd)
+    out *= kernel.ts_ms
+    return out
 
 
 def _check_compatible(x: SampledSignal, kernel: Kernel, delay) -> np.ndarray:

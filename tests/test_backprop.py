@@ -333,8 +333,11 @@ def test_gradients_container_helpers():
     assert z.delays[1].shape == (4,)
     g = Gradients.zeros_like(net)
     g.weights[0] += 2.0
-    z.add_scaled(g, 0.5)
+    z.absorb(g, 0.5)
     assert np.all(z.weights[0] == 1.0)
+    assert np.all(g.weights[0] == 1.0)  # absorb spends its argument
+    z.clear()
+    assert not any(a.any() for a in z.weights + z.delays)
 
 
 _FD_SPECS = pytest.mark.parametrize(
