@@ -47,7 +47,6 @@ from .signals import (
     SpikeTrainSet,
     poisson_spike_train,
     read_events,
-    signal_to_spikes,
     spikes_to_signal,
     write_events,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "render_architecture",
     "rho",
     "save_checkpoint",
-    "signal_to_spikes",
     "simulate_layer",
     "soft_forward",
     "soft_loss",

@@ -25,7 +25,7 @@ from .forward import SignalCache, SurrogateConfig, _rho_values, forward
 from .kernels import Kernel, convolve_values, correlate_values
 from .losses import LossSpec, error_count, error_precise, loss_value, output_credit
 from .signals import SampledSignal, SpikeTrain
-from .topology import Network, _conv_rows, adjoint_linear
+from .topology import Network, adjoint_linear, weight_gradient
 
 
 @dataclass(eq=False)
@@ -106,35 +106,6 @@ def delta_layer(
     values = _rho_values(u.values, theta, cfg)
     values *= corr
     return SampledSignal._adopt(values, e.ts_ms)
-
-
-def weight_gradient(
-    net: Network, t: int, delta: SampledSignal, a: SampledSignal, out=None
-) -> np.ndarray | None:
-    """Time integral of delta against the presynaptic response, in the
-    weight layout of transition t; None for frozen aggregations.
-
-    ``out``, a C-contiguous array of that layout, receives the result."""
-    kind = net.spec.layers[t + 1].kind
-    ts = delta.ts_ms
-    if kind == "aggregate":
-        return None
-    if kind == "dense":
-        out = np.matmul(delta.values, a.values.T, out=out)
-        out *= ts
-        return out
-    src, dst = net.spec.shapes[t], net.spec.shapes[t + 1]
-    k = net.spec.layers[t + 1].kernel_size
-    x = a.values.reshape(src.channels, src.height, -1)
-    d = delta.values.reshape(dst.channels, dst.height, -1)
-    if out is None:
-        out = np.empty((dst.channels, src.channels, k, k))
-    grad = out.reshape(dst.channels, -1)
-    grad.fill(0.0)
-    for i, block in _conv_rows(x, k, dst.width):
-        grad += d[:, i] @ block.T
-    grad *= ts
-    return out
 
 
 def delay_gradient(

@@ -21,10 +21,11 @@ from .losses import LossSpec
 from .runconfig import RunConfig, load_config
 from .signals import (
     SimConfig,
+    SpikeTrain,
     SpikeTrainSet,
+    event_bins,
     poisson_spike_train,
     read_events,
-    signal_to_spikes,
     write_events,
 )
 from .trainer import (
@@ -134,16 +135,19 @@ def cmd_simulate(args) -> int:
         net, _, _ = load_checkpoint(args.checkpoint)
     else:
         net = rc.build_network(args.seed)
-    sset = read_events(args.input)
+    sset = read_events(args.input, neuron_count=net.layer_sizes[0])
     out = _out_dir(args, rc)
 
     for i, train_in in enumerate(sset.trains):
         sample_dir = out if len(sset.trains) == 1 else out / f"sample{i:04d}"
         sample_dir.mkdir(parents=True, exist_ok=True)
         cache = forward(net, train_in)
-        for layer, s in enumerate(cache.spikes):
-            raster = signal_to_spikes(s, net.sim)
-            write_events(sample_dir / f"raster_layer{layer}.csv", SpikeTrainSet(raster.neuron_count, (raster,)))
+        # every input event, same-bin ones included, then the spikes found
+        layer_events = [event_bins(train_in, net.sim)] + cache.events[1:]
+        for layer, (count, events) in enumerate(zip(net.layer_sizes, layer_events)):
+            neurons, bins = np.divmod(events, net.sim.n_samples)
+            raster = SpikeTrain(count, np.column_stack((neurons, net.sim.bin_center(bins))))
+            write_events(sample_dir / f"raster_layer{layer}.csv", SpikeTrainSet(count, (raster,)))
         if args.traces:
             for layer, u in enumerate(cache.potentials):
                 if u is None:

@@ -26,16 +26,6 @@ from .kernels import Kernel, convolve_values
 from .signals import SampledSignal, SpikeTrain, event_bins, spikes_to_signal
 from .topology import Network, apply_linear
 
-__all__ = [
-    "SignalCache",
-    "SurrogateConfig",
-    "rho",
-    "soft_spike",
-    "simulate_layer",
-    "forward",
-]
-
-
 @dataclass(frozen=True)
 class SurrogateConfig:
     """Spike-derivative surrogate rho(u) = (1/alpha) exp(-beta |u - theta|)."""

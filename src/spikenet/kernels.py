@@ -29,6 +29,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, ParameterError
 from .signals import SampledSignal
 
+DEFAULT_CUTOFF = 1e-6  # kernel truncation relative to the peak, unless set
+
 
 @dataclass(frozen=True)
 class NeuronConfig:
@@ -85,7 +87,7 @@ def _sample_and_truncate(neuron: NeuronConfig, ts_ms: float, cutoff: float, fn) 
     return Kernel(vals[: keep[-1] + 1], ts_ms, fn)
 
 
-def make_epsilon(neuron: NeuronConfig, ts_ms: float, cutoff: float = 1e-6) -> Kernel:
+def make_epsilon(neuron: NeuronConfig, ts_ms: float, cutoff: float = DEFAULT_CUTOFF) -> Kernel:
     """Spike response kernel (t/tau_s)*exp(1 - t/tau_s), peak value 1 at tau_s."""
     tau = neuron.tau_s
 
@@ -96,7 +98,7 @@ def make_epsilon(neuron: NeuronConfig, ts_ms: float, cutoff: float = 1e-6) -> Ke
     return _sample_and_truncate(neuron, ts_ms, cutoff, fn)
 
 
-def make_nu(neuron: NeuronConfig, ts_ms: float, cutoff: float = 1e-6) -> Kernel:
+def make_nu(neuron: NeuronConfig, ts_ms: float, cutoff: float = DEFAULT_CUTOFF) -> Kernel:
     """Refractory kernel -2*theta*exp(1 - t/tau_r); strictly negative, decaying."""
     tau, theta = neuron.tau_r, neuron.theta
 
@@ -106,7 +108,7 @@ def make_nu(neuron: NeuronConfig, ts_ms: float, cutoff: float = 1e-6) -> Kernel:
     return _sample_and_truncate(neuron, ts_ms, cutoff, fn)
 
 
-def make_epsilon_dot(neuron: NeuronConfig, ts_ms: float, cutoff: float = 1e-6) -> Kernel:
+def make_epsilon_dot(neuron: NeuronConfig, ts_ms: float, cutoff: float = DEFAULT_CUTOFF) -> Kernel:
     """Time derivative of the spike response kernel, (1/tau)(1 - t/tau)e^(1-t/tau)."""
     tau = neuron.tau_s
 

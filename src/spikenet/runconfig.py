@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .forward import SurrogateConfig
-from .kernels import NeuronConfig
+from .kernels import DEFAULT_CUTOFF, NeuronConfig
 from .losses import LossSpec
 from .optim import _METHODS, OptimizerState
 from .signals import SimConfig, SpikeTrain, read_events
@@ -233,7 +233,7 @@ def load_config(path: str | Path) -> RunConfig:
         sim=sim,
         neuron=neuron,
         gain=values["network"].get("gain"),
-        cutoff=values["network"].get("cutoff", 1e-6),
+        cutoff=values["network"].get("cutoff", DEFAULT_CUTOFF),
         optimizer=optimizer,
         train=TrainConfig(loss=loss, surrogate=surrogate, **values["train"]),
         data=values["data"],

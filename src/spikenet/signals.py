@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    FormatError,
     ParameterError,
     ParseError,
     RangeError,
@@ -212,10 +211,6 @@ class SampledSignal:
     def n_samples(self) -> int:
         return self.values.shape[1]
 
-    @classmethod
-    def zeros(cls, channels: int, config: SimConfig) -> "SampledSignal":
-        return cls(np.zeros((channels, config.n_samples)), config.ts_ms)
-
 
 def poisson_spike_train(
     channels: int, rate_hz: float, config: SimConfig, seed: int
@@ -260,24 +255,6 @@ def spikes_to_signal(train: SpikeTrain, config: SimConfig) -> SampledSignal:
     # a flat index is several times faster in np.add.at than an index pair
     np.add.at(values.reshape(-1), event_bins(train, config), 1.0 / config.ts_ms)
     return SampledSignal(values, config.ts_ms)
-
-
-def signal_to_spikes(signal: SampledSignal, config: SimConfig) -> SpikeTrain:
-    """Inverse of :func:`spikes_to_signal` for binary spike signals.
-
-    Every sample must be 0 or 1/Ts (within 1e-9); nonzero bins become
-    events at the bin center.
-    """
-    amp = 1.0 / config.ts_ms
-    vals = signal.values
-    ok = (np.abs(vals) <= 1e-9) | (np.abs(vals - amp) <= 1e-9)
-    if not ok.all():
-        c, n = np.argwhere(~ok)[0]
-        raise FormatError(
-            f"sample ({c}, {n}) = {vals[c, n]} is neither 0 nor 1/Ts = {amp}"
-        )
-    bins, chans = np.nonzero((np.abs(vals - amp) <= 1e-9).T)  # (time, neuron) order
-    return SpikeTrain(signal.channels, np.column_stack((chans, config.bin_center(bins))))
 
 
 def _records(sset: SpikeTrainSet) -> np.ndarray:

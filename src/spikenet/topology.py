@@ -1,4 +1,4 @@
-"""Network architecture, parameter initialization, linear maps and adjoints.
+"""Network architecture, initialization, linear maps, adjoints and weight gradients.
 
 Architectures are written as strings: layers separated by ``-``, spatial
 dimensions by ``x``.  ``NcK`` is a convolution layer with N filters of
@@ -22,13 +22,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ParseError, ShapeError
-from .kernels import Kernel, NeuronConfig, make_epsilon, make_epsilon_dot, make_nu
+from .kernels import DEFAULT_CUTOFF, Kernel, NeuronConfig, make_epsilon, make_epsilon_dot, make_nu
 from .signals import SampledSignal, SimConfig
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer of the architecture; use the class-method constructors."""
+    """One layer of the architecture."""
 
     kind: str  # "input" | "dense" | "conv" | "aggregate"
     size: int = 0  # dense width, or flat input width
@@ -36,26 +36,6 @@ class LayerSpec:
     kernel_size: int = 0
     block_size: int = 0
     in_shape: tuple = ()  # (channels, height, width) for a spatial input
-
-    @classmethod
-    def input_flat(cls, neurons: int) -> "LayerSpec":
-        return cls(kind="input", size=neurons)
-
-    @classmethod
-    def input_2d(cls, height: int, width: int, channels: int = 1) -> "LayerSpec":
-        return cls(kind="input", in_shape=(channels, height, width))
-
-    @classmethod
-    def dense(cls, neurons: int) -> "LayerSpec":
-        return cls(kind="dense", size=neurons)
-
-    @classmethod
-    def conv(cls, filters: int, kernel_size: int) -> "LayerSpec":
-        return cls(kind="conv", filters=filters, kernel_size=kernel_size)
-
-    @classmethod
-    def aggregate(cls, block_size: int) -> "LayerSpec":
-        return cls(kind="aggregate", block_size=block_size)
 
 
 @dataclass(frozen=True)
@@ -175,12 +155,12 @@ def _parse_input_token(token: str) -> LayerSpec:
         n = int(m.group(1))
         if n < 1:
             raise ParseError(f"malformed input token '{token}': zero width")
-        return LayerSpec.input_flat(n)
+        return LayerSpec("input", size=n)
     h, w = int(m.group(1)), int(m.group(3))
     c = int(m.group(5)) if m.group(5) else 1
     if min(h, w, c) < 1:
         raise ParseError(f"malformed input token '{token}': zero dimension")
-    return LayerSpec.input_2d(h, w, c)
+    return LayerSpec("input", in_shape=(c, h, w))
 
 
 def _parse_layer_token(token: str, last: bool) -> LayerSpec:
@@ -188,21 +168,21 @@ def _parse_layer_token(token: str, last: bool) -> LayerSpec:
         f, k = int(m.group(1)), int(m.group(2))
         if f < 1 or k < 1:
             raise ParseError(f"malformed conv token '{token}'")
-        return LayerSpec.conv(f, k)
+        return LayerSpec("conv", filters=f, kernel_size=k)
     if m := _TOKEN_AGG.match(token):
         b = int(m.group(1))
         if b < 1:
             raise ParseError(f"malformed aggregation token '{token}'")
-        return LayerSpec.aggregate(b)
+        return LayerSpec("aggregate", block_size=b)
     if m := _TOKEN_OUT.match(token):
         if not last:
             raise ParseError(f"output marker '{token}' only allowed on the last layer")
-        return LayerSpec.dense(int(m.group(1)))
+        return LayerSpec("dense", size=int(m.group(1)))
     if m := _TOKEN_DENSE.match(token):
         n = int(m.group(1))
         if n < 1:
             raise ParseError(f"malformed dense token '{token}': zero width")
-        return LayerSpec.dense(n)
+        return LayerSpec("dense", size=n)
     raise ParseError(f"malformed layer token '{token}'")
 
 
@@ -250,7 +230,7 @@ class Network:
     params: list
     neuron: NeuronConfig
     sim: SimConfig
-    cutoff: float = 1e-6
+    cutoff: float = DEFAULT_CUTOFF
 
     def __post_init__(self):
         if len(self.params) != self.spec.n_transitions:
@@ -310,7 +290,7 @@ def init_network(
     sim: SimConfig,
     seed: int = 0,
     gain: float | None = None,
-    cutoff: float = 1e-6,
+    cutoff: float = DEFAULT_CUTOFF,
 ) -> Network:
     """Draw weights i.i.d. uniform in [-c, c] with c = gain / sqrt(fan_in).
 
@@ -327,12 +307,7 @@ def init_network(
         if shape is None:
             weights = None
         else:
-            fan_in = (
-                spec.neuron_counts[t]
-                if spec.layers[t + 1].kind == "dense"
-                else spec.shapes[t].channels * spec.layers[t + 1].kernel_size ** 2
-            )
-            bound = gain / np.sqrt(fan_in)
+            bound = gain / np.sqrt(np.prod(shape[1:]))  # fan-in
             weights = rng.uniform(-bound, bound, size=shape)
         params.append(LayerParams(weights, np.zeros(spec.neuron_counts[t])))
     return Network(spec, params, neuron, sim, cutoff)
@@ -428,3 +403,32 @@ def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
         shape = (dst.channels, dst.height, b, dst.width, b, delta.n_samples)
         out = np.broadcast_to(d, shape).reshape(src.neurons, -1)
     return SampledSignal._adopt(out, delta.ts_ms)
+
+
+def weight_gradient(
+    net: Network, t: int, delta: SampledSignal, a: SampledSignal, out=None
+) -> np.ndarray | None:
+    """Time integral of delta against the presynaptic response, in the
+    weight layout of transition t; None for frozen aggregations.
+
+    ``out``, a C-contiguous array of that layout, receives the result."""
+    kind = net.spec.layers[t + 1].kind
+    ts = delta.ts_ms
+    if kind == "aggregate":
+        return None
+    if kind == "dense":
+        out = np.matmul(delta.values, a.values.T, out=out)
+        out *= ts
+        return out
+    src, dst = net.spec.shapes[t], net.spec.shapes[t + 1]
+    k = net.spec.layers[t + 1].kernel_size
+    x = a.values.reshape(src.channels, src.height, -1)
+    d = delta.values.reshape(dst.channels, dst.height, -1)
+    if out is None:
+        out = np.empty((dst.channels, src.channels, k, k))
+    grad = out.reshape(dst.channels, -1)
+    grad.fill(0.0)
+    for i, block in _conv_rows(x, k, dst.width):
+        grad += d[:, i] @ block.T
+    grad *= ts
+    return out

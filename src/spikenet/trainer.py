@@ -12,6 +12,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -235,6 +236,9 @@ def train(
 
 _MAGIC = b"SLCK"
 _VERSION = 1
+# format v1's two records of six doubles, field by field in file order
+_NET_RECORD = ("neuron.theta", "neuron.tau_s", "neuron.tau_r", "sim.ts_ms", "sim.t_ms", "cutoff")
+_OPTIM_RECORD = ("learning_rate", "delay_lr_scale", "beta1", "beta2", "gamma", "eps_stab")
 
 
 def _pack_str(text: str) -> bytes:
@@ -266,6 +270,16 @@ class _Cursor:
     def read_str(self) -> str:
         return self.take(self.unpack("<I")).decode("utf-8")
 
+    def read_record(self, fields, **owners) -> dict:
+        """The next record of ``fields`` as keyword arguments; the fields
+        "owner.name" go into one ``owners[owner]`` built from them."""
+        kwargs, nested = {}, {}
+        for path, value in zip(fields, self.unpack("<6d")):
+            owner, _, name = path.rpartition(".")
+            (nested.setdefault(owner, {}) if owner else kwargs)[name] = value
+        kwargs.update({owner: owners[owner](**values) for owner, values in nested.items()})
+        return kwargs
+
     def read_array(self) -> np.ndarray:
         ndim = self.unpack("<I")
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
@@ -284,17 +298,7 @@ def save_checkpoint(
     so a failed write leaves any previous checkpoint intact."""
     chunks = [_MAGIC, struct.pack("<H", _VERSION)]
     chunks.append(_pack_str(render_architecture(net.spec)))
-    chunks.append(
-        struct.pack(
-            "<6d",
-            net.neuron.theta,
-            net.neuron.tau_s,
-            net.neuron.tau_r,
-            net.sim.ts_ms,
-            net.sim.t_ms,
-            net.cutoff,
-        )
-    )
+    chunks.append(struct.pack("<6d", *attrgetter(*_NET_RECORD)(net)))
     chunks.append(struct.pack("<I", net.n_transitions))
     for params in net.params:
         if params.weights is None:
@@ -307,17 +311,7 @@ def save_checkpoint(
     else:
         chunks.append(struct.pack("<B", 1))
         chunks.append(_pack_str(optim_state.method))
-        chunks.append(
-            struct.pack(
-                "<6d",
-                optim_state.learning_rate,
-                optim_state.delay_lr_scale,
-                optim_state.beta1,
-                optim_state.beta2,
-                optim_state.gamma,
-                optim_state.eps_stab,
-            )
-        )
+        chunks.append(struct.pack("<6d", *attrgetter(*_OPTIM_RECORD)(optim_state)))
         chunks.append(struct.pack("<Q", optim_state.step_count))
         buffers = [("m1." + k, v) for k, v in sorted(optim_state.moment1.items())]
         buffers += [("m2." + k, v) for k, v in sorted(optim_state.moment2.items())]
@@ -346,7 +340,7 @@ def load_checkpoint(path: str | Path):
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     spec = parse_architecture(cur.read_str())
-    theta, tau_s, tau_r, ts_ms, t_ms, cutoff = cur.unpack("<6d")
+    constants = cur.read_record(_NET_RECORD, neuron=NeuronConfig, sim=SimConfig)
     n_transitions = cur.unpack("<I")
     if n_transitions != spec.n_transitions:
         raise FormatError(f"{path}: transition count mismatch")
@@ -354,26 +348,11 @@ def load_checkpoint(path: str | Path):
     for _ in range(n_transitions):
         weights = cur.read_array() if cur.unpack("<B") else None
         params.append(LayerParams(weights, cur.read_array()))
-    net = Network(
-        spec,
-        params,
-        NeuronConfig(theta=theta, tau_s=tau_s, tau_r=tau_r),
-        SimConfig(t_ms=t_ms, ts_ms=ts_ms),
-        cutoff,
-    )
+    net = Network(spec, params, **constants)
     optim_state = None
     if cur.unpack("<B"):
         method = cur.read_str()
-        lr, dscale, b1, b2, gamma, eps = cur.unpack("<6d")
-        optim_state = OptimizerState(
-            method=method,
-            learning_rate=lr,
-            delay_lr_scale=dscale,
-            beta1=b1,
-            beta2=b2,
-            gamma=gamma,
-            eps_stab=eps,
-        )
+        optim_state = OptimizerState(method=method, **cur.read_record(_OPTIM_RECORD))
         optim_state.step_count = cur.unpack("<Q")
         for _ in range(cur.unpack("<I")):
             name = cur.read_str()

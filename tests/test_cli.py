@@ -237,3 +237,28 @@ def test_gradcheck_error_grows_quadratically_with_h(tmp_path, capsys):
 
     coarse, fine = worst(1e-2), worst(1e-3)
     assert 20.0 < coarse / fine < 500.0
+
+
+def test_simulate_reads_input_with_the_network_input_width(tmp_path):
+    """An input file whose highest-index neuron is silent still has the
+    network's input width."""
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    (tmp_path / "in.csv").write_text("neuron,time_ms,label\n0,2.5,0\n1,7.5,0\n")
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--input", str(tmp_path / "in.csv"),
+                 "--out", str(sim_out)]) == 0
+    assert read_events(sim_out / "raster_layer0.csv").trains[0].events == ((0, 2.5), (1, 7.5))
+
+
+def test_simulate_lists_same_bin_input_events_at_the_bin_centre(tmp_path):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    (tmp_path / "in.csv").write_text(
+        "neuron,time_ms,label\n3,4.2,0\n3,4.9,0\n0,10.0,0\n"
+    )
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--input", str(tmp_path / "in.csv"),
+                 "--out", str(sim_out)]) == 0
+    raster0 = read_events(sim_out / "raster_layer0.csv")
+    assert raster0.trains[0].events == ((3, 4.5), (3, 4.5), (0, 10.5))

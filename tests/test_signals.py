@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 from spikenet import (
-    SampledSignal,
     SimConfig,
     SpikeTrain,
     SpikeTrainSet,
     poisson_spike_train,
     read_events,
-    signal_to_spikes,
     spikes_to_signal,
     write_events,
 )
 from spikenet.errors import (
-    FormatError,
     ParameterError,
     ParseError,
     RangeError,
@@ -146,28 +143,6 @@ def test_spikes_to_signal_matches_scalar_binning(ts_ms):
 def test_spikes_to_signal_rejects_event_past_window():
     with pytest.raises(RangeError):
         spikes_to_signal(SpikeTrain(1, ((0, 60.0),)), SimConfig(50.0, 1.0))
-
-
-def test_signal_to_spikes_round_trip_lands_on_bin_centers():
-    cfg = SimConfig(10.0, 1.0)
-    tr = SpikeTrain(3, ((0, 0.0), (2, 1.25), (0, 5.5)))
-    back = signal_to_spikes(spikes_to_signal(tr, cfg), cfg)
-    assert back.events == ((0, 0.5), (2, 1.5), (0, 5.5))
-    # a second pass is a fixed point
-    again = signal_to_spikes(spikes_to_signal(back, cfg), cfg)
-    assert again.events == back.events
-
-
-def test_signal_to_spikes_rejects_non_binary_samples():
-    cfg = SimConfig(50.0, 1.0)
-    sig = SampledSignal(np.full((1, 50), 0.5), 1.0)
-    with pytest.raises(FormatError):
-        signal_to_spikes(sig, cfg)
-
-
-def test_signal_to_spikes_empty():
-    cfg = SimConfig(20.0, 1.0)
-    assert signal_to_spikes(SampledSignal(np.zeros((4, 20)), 1.0), cfg).events == ()
 
 
 def test_poisson_zero_rate_is_silent():

@@ -1,5 +1,6 @@
 """Training loop, evaluation, metrics file, and checkpointing."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from spikenet import (
     Dataset,
     Gradients,
+    LayerParams,
     LossSpec,
+    Network,
     NeuronConfig,
     OptimizerState,
     SampledSignal,
@@ -363,3 +366,85 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch, failing):
     assert path.read_bytes() == before
     assert load_checkpoint(path)[2] == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.slck"]
+
+
+def _golden_checkpoint():
+    """A net with a frozen aggregate and a dense transition, an Adam state,
+    and the format-v1 bytes they must save to, packed field by field here
+    rather than by the trainer."""
+
+    def text(s):
+        return struct.pack("<I", len(s)) + s.encode("utf-8")
+
+    def array(a):
+        dims = struct.pack("<I", a.ndim) + struct.pack(f"<{a.ndim}I", *a.shape)
+        return dims + a.astype("<f8").tobytes()
+
+    d0 = np.linspace(0.0, 1.5, 16)
+    w1 = np.arange(12.0).reshape(3, 4) / 8.0 - 0.7
+    d1 = np.array([0.25, 0.0, 1.75, 3.0])
+    net = Network(
+        parse_architecture("4x4-2a-3"),
+        [LayerParams(None, d0), LayerParams(w1, d1)],
+        NeuronConfig(theta=7.5, tau_s=2.25, tau_r=1.5),
+        SimConfig(t_ms=20.0, ts_ms=0.5),
+        cutoff=3e-5,
+    )
+    state = OptimizerState(
+        method="adam",
+        learning_rate=0.004,
+        delay_lr_scale=0.2,
+        beta1=0.85,
+        beta2=0.995,
+        gamma=0.8,
+        eps_stab=1e-7,
+    )
+    state.step_count = 5
+    state.moment1 = {"w1": w1 + 0.5, "d0": d0 + 1.5, "d1": d1 + 2.5}
+    state.moment2 = {name: m * m for name, m in state.moment1.items()}
+
+    blob = b"SLCK" + struct.pack("<H", 1) + text("4x4-2a-3")
+    # theta, tau_s, tau_r, ts_ms, t_ms, cutoff
+    blob += struct.pack("<6d", 7.5, 2.25, 1.5, 0.5, 20.0, 3e-5)
+    # transition count, then per transition: weights flag, weights, delays
+    blob += struct.pack("<I", 2)
+    blob += struct.pack("<B", 0) + array(d0)
+    blob += struct.pack("<B", 1) + array(w1) + array(d1)
+    # optimizer flag and method, then learning_rate, delay_lr_scale,
+    # beta1, beta2, gamma, eps_stab, the step count and the buffer count
+    blob += struct.pack("<B", 1) + text("adam")
+    blob += struct.pack("<6d", 0.004, 0.2, 0.85, 0.995, 0.8, 1e-7)
+    blob += struct.pack("<Q", 5) + struct.pack("<I", 6)
+    # named buffers, first moments then second, each in key order
+    for prefix, store in (("m1.", state.moment1), ("m2.", state.moment2)):
+        for name in ("d0", "d1", "w1"):
+            blob += text(prefix + name) + array(store[name])
+    blob += struct.pack("<I", 11)  # epoch
+    return net, state, blob
+
+
+def test_checkpoint_v1_bytes_load_and_save_back_unchanged(tmp_path):
+    net, state, blob = _golden_checkpoint()
+    golden = tmp_path / "golden.slck"
+    golden.write_bytes(blob)
+    loaded, loaded_state, epoch = load_checkpoint(golden)
+    assert epoch == 11
+    assert render_architecture(loaded.spec) == "4x4-2a-3"
+    assert (loaded.neuron, loaded.sim, loaded.cutoff) == (net.neuron, net.sim, net.cutoff)
+    assert loaded.params[0].weights is None
+    for pa, pb in zip(loaded.params, net.params):
+        np.testing.assert_array_equal(pa.delays, pb.delays)
+    np.testing.assert_array_equal(loaded.params[1].weights, net.params[1].weights)
+    for name in ("method", "learning_rate", "delay_lr_scale", "beta1", "beta2",
+                 "gamma", "eps_stab", "step_count"):
+        assert getattr(loaded_state, name) == getattr(state, name), name
+    for store, want in ((loaded_state.moment1, state.moment1),
+                        (loaded_state.moment2, state.moment2)):
+        assert sorted(store) == sorted(want)
+        for name in want:
+            np.testing.assert_array_equal(store[name], want[name])
+    resaved = tmp_path / "resaved.slck"
+    save_checkpoint(loaded, loaded_state, resaved, epoch)
+    assert resaved.read_bytes() == blob
+    save_checkpoint(net, state, resaved, 11)
+    assert resaved.read_bytes() == blob
