@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 from .forward import SignalCache, SurrogateConfig, _rho_values, forward
-from .kernels import Kernel, convolve_values, correlate_values
+from .kernels import Kernel, Workspace, convolve_values, correlate_values, workspace
 from .losses import LossSpec, error_count, error_precise, loss_value, output_credit
 from .signals import SampledSignal, SpikeTrain
 from .topology import Network, adjoint_linear, weight_gradient
@@ -80,7 +80,8 @@ def output_error(
     if spec.mode == "precise":
         if target is None:
             raise ParameterError("precise loss needs a target spike train")
-        return error_precise(s_out, target, net.epsilon, net.sim)
+        with workspace() as work:
+            return error_precise(s_out, target, net.epsilon, net.sim, work)
     if label is None:
         raise ParameterError("count loss needs a label")
     desired = spec.desired_counts(label, s_out.channels)
@@ -94,15 +95,17 @@ def delta_layer(
     delays: np.ndarray,
     theta: float,
     cfg: SurrogateConfig,
+    work: Workspace | None = None,
 ) -> SampledSignal:
     """Credit signal: rho(u) times the error correlated with the delayed kernel.
 
     The correlation pulls error from later bins back to the bins whose
-    spikes caused it, shifted by the layer's own outgoing delays.
+    spikes caused it, shifted by the layer's own outgoing delays; it lives
+    in ``work`` if given.
     """
     if e.values.shape != u.values.shape:
         raise ShapeError(f"error shape {e.values.shape} != potential {u.values.shape}")
-    corr = correlate_values(e.values, epsilon, np.asarray(delays, dtype=np.float64))
+    corr = correlate_values(e.values, epsilon, delays, work, keep=False)
     values = _rho_values(u.values, theta, cfg)
     values *= corr
     return SampledSignal._adopt(values, e.ts_ms)
@@ -116,15 +119,16 @@ def delay_gradient(
     ts: float,
     events=None,
     out=None,
+    work: Workspace | None = None,
 ) -> np.ndarray:
     """Per-neuron -integral of the response time-derivative against the error.
 
     Moving a delay later shifts the response right; the sign makes the
     gradient point toward increasing loss as delays grow.  ``events`` are
-    the spike events of s, as in :func:`convolve_values`; ``out`` receives
-    the result.
+    the spike events of s and ``work`` the workspace, as in
+    :func:`convolve_values`; ``out`` receives the result.
     """
-    adot = convolve_values(s.values, epsilon_dot, np.asarray(delays, dtype=np.float64), events)
+    adot = convolve_values(s.values, epsilon_dot, delays, events, work, keep=False)
     adot *= e.values
     out = np.sum(adot, axis=1, out=out)
     out *= -ts
@@ -159,24 +163,24 @@ def backward(
     grads = Gradients([None] * n_t, [None] * n_t) if out is None else out
     errors = [None] * n_t + [e_out]
     deltas = [None] * (n_t + 1)
-    credit = output_credit(e_out, spec, epsilon, net.sim)
-    values = _rho_values(u_out.values, theta, surrogate)
-    values *= credit
-    delta = SampledSignal._adopt(values, ts)
-    for t in reversed(range(n_t)):
-        deltas[t + 1] = delta
-        grads.weights[t] = weight_gradient(
-            net, t, delta, cache.responses[t], grads.weights[t]
-        )
-        e = errors[t] = adjoint_linear(net, t, delta)
-        grads.delays[t] = delay_gradient(
-            e, cache.spikes[t], eps_dot, net.params[t].delays, ts, cache.events[t],
-            grads.delays[t],
-        )
-        if t > 0:
-            delta = delta_layer(
-                e, cache.potentials[t], epsilon, net.params[t].delays, theta, surrogate
+    with workspace() as work:
+        values = _rho_values(u_out.values, theta, surrogate)
+        values *= output_credit(e_out, spec, epsilon, net.sim, work)
+        delta = SampledSignal._adopt(values, ts)
+        for t in reversed(range(n_t)):
+            grads.weights[t] = weight_gradient(
+                net, t, delta, cache.responses[t], grads.weights[t]
             )
+            e = adjoint_linear(net, t, delta)
+            if want_trace:  # else each layer's signals are freed as soon as used
+                errors[t], deltas[t + 1] = e, delta
+            delays = net.params[t].delays
+            grads.delays[t] = delay_gradient(
+                e, cache.spikes[t], eps_dot, delays, ts, cache.events[t], grads.delays[t], work
+            )
+            if t > 0:
+                u = cache.potentials[t]
+                delta = delta_layer(e, u, epsilon, delays, theta, surrogate, work)
     for t, (w, d) in enumerate(zip(grads.weights, grads.delays)):
         if (w is not None and not np.all(np.isfinite(w))) or not np.all(np.isfinite(d)):
             raise NumericError(f"non-finite gradient in transition {t}")

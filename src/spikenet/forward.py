@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .kernels import Kernel, convolve_values
+from .kernels import Kernel, convolve_values, workspace
 from .signals import SampledSignal, SpikeTrain, event_bins, spikes_to_signal
 from .topology import Network, apply_linear
 
@@ -143,18 +143,19 @@ def forward(
     events.flags.writeable = False
     cache = SignalCache(spikes=[s], events=[events], potentials=[None], responses=[])
     epsilon, nu, theta = net.epsilon, net.nu, net.neuron.theta
-    for t in range(net.n_transitions):
-        response = convolve_values(
-            cache.spikes[t].values, epsilon, net.params[t].delays, cache.events[t]
-        )
-        a = SampledSignal._adopt(response, s.ts_ms)
-        cache.responses.append(a)
-        u_ff = apply_linear(net, t, a)
-        if surrogate is None:
-            s_next, u_next, events = simulate_layer(u_ff, nu, theta)
-        else:
-            s_next, u_next, events = soft_spike(u_ff, theta, surrogate), u_ff, None
-        cache.spikes.append(s_next)
-        cache.events.append(events)
-        cache.potentials.append(u_next)
+    with workspace() as work:
+        for t in range(net.n_transitions):
+            response = convolve_values(
+                cache.spikes[t].values, epsilon, net.params[t].delays, cache.events[t], work
+            )
+            a = SampledSignal._adopt(response, s.ts_ms)
+            cache.responses.append(a)
+            u_ff = apply_linear(net, t, a)
+            if surrogate is None:
+                s_next, u_next, events = simulate_layer(u_ff, nu, theta)
+            else:
+                s_next, u_next, events = soft_spike(u_ff, theta, surrogate), u_ff, None
+            cache.spikes.append(s_next)
+            cache.events.append(events)
+            cache.potentials.append(u_next)
     return cache

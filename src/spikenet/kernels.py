@@ -20,11 +20,16 @@ exact transposes of each other on the truncated window.
 
 from __future__ import annotations
 
+import functools
+import math
+import mmap
+import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ParameterError
 from .signals import SampledSignal
@@ -67,11 +72,16 @@ class Kernel:
     def support_end(self) -> float:
         return (len(self.samples) - 1) * self.ts_ms
 
-    def evaluate(self, t) -> np.ndarray:
+    def evaluate(self, t, out=None, scratch=None, inside=None) -> np.ndarray:
+        """The closed form at times ``t``; ``out``, ``scratch`` (float) and
+        ``inside`` (bool), shaped like ``t``, take the result and temporaries."""
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        mask = (t >= 0.0) & (t <= self.support_end)
-        out[mask] = self._fn(t[mask])
+        if out is None:
+            out, scratch, inside = np.empty(t.shape), np.empty(t.shape), np.empty(t.shape, bool)
+        x = np.clip(t, 0.0, self.support_end, out=scratch)
+        np.not_equal(x, t, out=inside)  # outside the support, or NaN
+        self._fn(x, out)
+        np.copyto(out, 0.0, where=inside)
         return out
 
 
@@ -82,7 +92,7 @@ def _sample_and_truncate(neuron: NeuronConfig, ts_ms: float, cutoff: float, fn) 
         raise ParameterError("cutoff must lie in (0, 1)")
     ceiling = 10.0 * max(neuron.tau_s, neuron.tau_r)
     grid = np.arange(int(np.floor(ceiling / ts_ms)) + 1) * ts_ms
-    vals = fn(grid)
+    vals = fn(grid, None)
     keep = np.nonzero(np.abs(vals) >= cutoff * np.max(np.abs(vals)))[0]
     return Kernel(vals[: keep[-1] + 1], ts_ms, fn)
 
@@ -91,9 +101,9 @@ def make_epsilon(neuron: NeuronConfig, ts_ms: float, cutoff: float = DEFAULT_CUT
     """Spike response kernel (t/tau_s)*exp(1 - t/tau_s), peak value 1 at tau_s."""
     tau = neuron.tau_s
 
-    def fn(t):
-        x = np.asarray(t, dtype=float) / tau
-        return x * np.exp(1.0 - x)
+    def fn(x, out):  # x is overwritten; out may be None
+        x /= tau
+        return np.multiply(x, np.exp(np.subtract(1.0, x, out=out), out=out), out=out)
 
     return _sample_and_truncate(neuron, ts_ms, cutoff, fn)
 
@@ -102,8 +112,9 @@ def make_nu(neuron: NeuronConfig, ts_ms: float, cutoff: float = DEFAULT_CUTOFF) 
     """Refractory kernel -2*theta*exp(1 - t/tau_r); strictly negative, decaying."""
     tau, theta = neuron.tau_r, neuron.theta
 
-    def fn(t):
-        return -2.0 * theta * np.exp(1.0 - np.asarray(t, dtype=float) / tau)
+    def fn(x, out):
+        x /= tau
+        return np.multiply(np.exp(np.subtract(1.0, x, out=x), out=out), -2.0 * theta, out=out)
 
     return _sample_and_truncate(neuron, ts_ms, cutoff, fn)
 
@@ -112,9 +123,10 @@ def make_epsilon_dot(neuron: NeuronConfig, ts_ms: float, cutoff: float = DEFAULT
     """Time derivative of the spike response kernel, (1/tau)(1 - t/tau)e^(1-t/tau)."""
     tau = neuron.tau_s
 
-    def fn(t):
-        x = np.asarray(t, dtype=float) / tau
-        return (1.0 - x) * np.exp(1.0 - x) / tau
+    def fn(x, out):
+        x /= tau
+        np.subtract(1.0, x, out=x)
+        return np.divide(np.multiply(x, np.exp(x, out=out), out=out), tau, out=out)
 
     return _sample_and_truncate(neuron, ts_ms, cutoff, fn)
 
@@ -128,14 +140,125 @@ def _delay_vector(delay, channels) -> np.ndarray:
     return d
 
 
+@functools.cache
+def zero_delays(channels: int) -> np.ndarray:
+    """All-zero delays, the same read-only array on every call, so that a
+    :class:`Workspace` reuses their tap tables."""
+    delays = np.zeros(channels)
+    delays.flags.writeable = False
+    return delays
+
+
 def _taps(kernel: Kernel, delays: np.ndarray, n_samples: int) -> int:
     # Output is truncated to the input length, so taps beyond it never matter.
     extra = int(np.ceil(max(0.0, float(delays.max())) / kernel.ts_ms)) + 1
     return max(1, min(n_samples, len(kernel.samples) + extra))
 
 
-def _delayed_taps(kernel: Kernel, delays: np.ndarray, j: np.ndarray) -> np.ndarray:
-    return kernel.evaluate(j[None, :] * kernel.ts_ms - delays[:, None])
+_OWN_MAPPING = 1 << 20  # bytes from which a workspace buffer is mapped on its own
+
+
+class Workspace:
+    """Scratch memory of one worker, reused from call to call.
+
+    :meth:`take` carves the arrays of one request out of a single byte
+    buffer that grows to the largest request, so they stay valid only until
+    the next ``take``.  Delayed tap tables are kept per (kernel, delay
+    array) and rebuilt when the delay values they were built from change,
+    so in-place edits of the delays are always seen.
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(0, dtype=np.uint8)
+        self._tables = {}
+
+    def take(self, *specs) -> list:
+        """Arrays of the given (shape, dtype) specs, valid until the next take."""
+        # each array starts on a 64-byte boundary
+        sizes = [-(-math.prod(s) * np.dtype(d).itemsize // 64) * 64 for s, d in specs]
+        total = sum(sizes)
+        if self.buffer.size < total:
+            # A large buffer gets a mapping of its own: kept inside the heap it
+            # would pin the memory freed below it (nmnist_mlp peak RSS +9 MB).
+            # A small one stays in the heap, where it steadies the heap's top
+            # (frozen_noise: 0.2-0.4 instead of 0.3-15 page faults per pass).
+            if total >= _OWN_MAPPING:
+                self.buffer = np.frombuffer(mmap.mmap(-1, total), dtype=np.uint8)
+            else:
+                self.buffer = np.empty(total, dtype=np.uint8)
+        arrays, start = [], 0
+        for (shape, dtype), size in zip(specs, sizes):
+            flat = self.buffer[start : start + size].view(dtype)
+            arrays.append(flat[: math.prod(shape)].reshape(shape))
+            start += size
+        return arrays
+
+    def delayed_taps(self, kernel: Kernel, delays: np.ndarray, taps: int) -> np.ndarray:
+        """table[c, j] = k(j*Ts - d_c) for j < taps, valid until the next call."""
+        key = (id(kernel), id(delays))
+        entry = self._tables.get(key)
+        stale = entry is None or entry[0]() is not kernel or entry[1]() is not delays
+        if stale or entry[3].shape[1] != taps:
+            # tables of dropped kernels or delay arrays go with them
+            self._tables = {
+                k: v for k, v in self._tables.items() if all(r() is not None for r in v[:2])
+            }
+            refs = weakref.ref(kernel), weakref.ref(delays)
+            entry = (*refs, np.empty(len(delays)), np.empty((len(delays), taps)))
+            self._tables[key] = entry
+        elif np.array_equal(entry[2], delays):
+            return entry[3]
+        shape = entry[3].shape
+        t, scratch, inside = self.take((shape, float), (shape, float), (shape, bool))
+        np.subtract(np.arange(taps) * kernel.ts_ms, delays[:, None], out=t)
+        kernel.evaluate(t, entry[3], scratch, inside)
+        entry[2][:] = delays
+        return entry[3]
+
+
+_IDLE = []  # workspaces that no pass holds, shared by every network
+
+
+@contextmanager
+def workspace():
+    """A :class:`Workspace` that no other thread holds until this one is
+    done: a pass in each of k threads keeps k of them, for any number of
+    networks."""
+    try:
+        work = _IDLE.pop()
+    except IndexError:  # every workspace is in use
+        work = Workspace()
+    yield work
+    _IDLE.append(work)  # after an error the workspace is dropped
+
+
+def _window_sum(values, table: np.ndarray, work: Workspace, keep: bool, lead: bool):
+    """out[c, n] = sum_j table[c, j] * padded[c, n + j], where ``padded`` is
+    ``values`` with taps - 1 zeros before it (``lead``) or after it.
+
+    Only the taps - 1 outputs whose windows reach into the zeros read a
+    padded copy of 2 * (taps - 1) samples per row; the rest read ``values``
+    in place.  The result lives in ``work`` unless ``keep``.
+    """
+    values = np.ascontiguousarray(values)
+    (channels, n_samples), taps = values.shape, table.shape[1]
+    inner = n_samples - taps + 1  # outputs whose windows lie inside values
+    shapes = [(channels, taps), (channels, 2 * taps - 2)]
+    shapes += [] if keep else [(channels, n_samples)]
+    taps_copy, edge, *out = work.take(*((shape, np.float64) for shape in shapes))
+    taps_copy[...] = table  # contiguous: a reversed view makes einsum 1.5x slower
+    out = out[0] if out else np.empty((channels, n_samples))
+    edge.fill(0.0)
+    if lead:
+        edge[:, taps - 1 :] = values[:, : taps - 1]
+        body, rim = out[:, taps - 1 :], out[:, : taps - 1]
+    else:
+        edge[:, : taps - 1] = values[:, inner:]
+        body, rim = out[:, :inner], out[:, inner:]
+    for x, y in ((values, body), (edge, rim)):
+        windows = as_strided(x, (channels, y.shape[1], taps), x.strides + x.strides[1:])
+        np.einsum("cnj,cj->cn", windows, taps_copy, out=y)
+    return out
 
 
 # Below this share of nonzero samples the event scatter beats the dense
@@ -148,7 +271,9 @@ def _delayed_taps(kernel: Kernel, delays: np.ndarray, j: np.ndarray) -> np.ndarr
 _SCATTER_DENSITY = 1.0 / 16.0
 
 
-def convolve_values(values, kernel: Kernel, delays, events=None) -> np.ndarray:
+def convolve_values(
+    values, kernel: Kernel, delays, events=None, work=None, keep=True
+) -> np.ndarray:
     """out[c, n] = Ts * sum_m k(m*Ts - d_c) * values[c, n - m]; no sign check.
 
     ``events``, if given, holds the flat index (c * n_samples + n) of every
@@ -156,47 +281,49 @@ def convolve_values(values, kernel: Kernel, delays, events=None) -> np.ndarray:
     is then built by scattering each event's delayed kernel taps; the
     scatter and the dense window sum group their additions differently, so
     they agree to rounding, not bit for bit.
+
+    ``work``, a :class:`Workspace`, supplies tap tables and temporaries;
+    without ``keep`` the dense sum's result lives there too, valid until
+    its next use.
     """
     channels, n_samples = values.shape
     delays = _delay_vector(delays, channels)
     taps = _taps(kernel, delays, n_samples)
+    work = Workspace() if work is None else work
     if events is not None and len(events) < _SCATTER_DENSITY * values.size:
-        kd = _delayed_taps(kernel, delays, np.arange(taps))
+        kd = work.delayed_taps(kernel, delays, taps)
+        shape = (len(events), taps)
+        weights, index = work.take((shape, np.float64), (shape, np.intp))
         # tap j of event (c, b) lands on flat sample c * n_samples + b + j;
         # taps past the last bin get zero weight, so their spill into the
         # next channel adds nothing
         bins = events % n_samples
-        weights = kd[events // n_samples]
+        np.take(kd, events // n_samples, axis=0, out=weights, mode="clip")
         weights *= values.reshape(-1)[events][:, None]
         late = np.flatnonzero(bins > n_samples - taps)
         weights[late] *= np.arange(taps) < n_samples - bins[late, None]
+        np.add(events[:, None], np.arange(taps), out=index)
         out = np.bincount(
-            (events[:, None] + np.arange(taps)).reshape(-1),
-            weights=weights.reshape(-1),
-            minlength=values.size + taps - 1,
+            index.reshape(-1), weights=weights.reshape(-1), minlength=values.size + taps - 1
         )
         # bincount counts in integers when there are no events
         out = out[: values.size].astype(np.float64, copy=False)
         out *= kernel.ts_ms
         return out.reshape(channels, n_samples)
-    padded = np.pad(values, ((0, 0), (taps - 1, 0)))
-    windows = sliding_window_view(padded, taps, axis=1)
-    # taps built last to first: a reversed view makes einsum 1.5x slower
-    kr = _delayed_taps(kernel, delays, np.arange(taps)[::-1])
-    out = np.einsum("cnj,cj->cn", windows, kr)
+    out = _window_sum(values, work.delayed_taps(kernel, delays, taps)[:, ::-1], work, keep, True)
     out *= kernel.ts_ms
     return out
 
 
-def correlate_values(values, kernel: Kernel, delays) -> np.ndarray:
-    """out[c, n] = Ts * sum_m k(m*Ts - d_c) * values[c, n + m]; no sign check."""
+def correlate_values(values, kernel: Kernel, delays, work=None, keep=True) -> np.ndarray:
+    """out[c, n] = Ts * sum_m k(m*Ts - d_c) * values[c, n + m]; no sign check.
+
+    ``work`` and ``keep`` act as in :func:`convolve_values`."""
     channels, n_samples = values.shape
     delays = _delay_vector(delays, channels)
-    taps = _taps(kernel, delays, n_samples)
-    kd = _delayed_taps(kernel, delays, np.arange(taps))
-    padded = np.pad(values, ((0, 0), (0, taps - 1)))
-    windows = sliding_window_view(padded, taps, axis=1)
-    out = np.einsum("cnj,cj->cn", windows, kd)
+    work = Workspace() if work is None else work
+    kd = work.delayed_taps(kernel, delays, _taps(kernel, delays, n_samples))
+    out = _window_sum(values, kd, work, keep, False)
     out *= kernel.ts_ms
     return out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError, ShapeError
-from .kernels import Kernel, convolve_values, correlate_values
+from .kernels import Kernel, convolve_values, correlate_values, zero_delays
 from .signals import SampledSignal, SimConfig, SpikeTrain, spikes_to_signal
 
 
@@ -63,16 +63,17 @@ def spike_counts(s_out: SampledSignal, interval, config: SimConfig) -> np.ndarra
 
 
 def error_precise(
-    s_out: SampledSignal, target: SpikeTrain, epsilon: Kernel, config: SimConfig
+    s_out: SampledSignal, target: SpikeTrain, epsilon: Kernel, config: SimConfig, work=None
 ) -> SampledSignal:
-    """Kernel-filtered difference between actual and target output trains."""
+    """Kernel-filtered difference between actual and target output trains;
+    ``work`` as in :func:`convolve_values`."""
     if target.neuron_count != s_out.channels:
         raise ShapeError(
             f"target has {target.neuron_count} channels, output has {s_out.channels}"
         )
     diff = s_out.values - spikes_to_signal(target, config).values
-    zero = np.zeros(s_out.channels)
-    return SampledSignal._adopt(convolve_values(diff, epsilon, zero), s_out.ts_ms)
+    response = convolve_values(diff, epsilon, zero_delays(s_out.channels), work=work)
+    return SampledSignal._adopt(response, s_out.ts_ms)
 
 
 def error_count(
@@ -99,14 +100,15 @@ def loss_value(e: SampledSignal) -> float:
 
 
 def output_credit(
-    e: SampledSignal, spec: LossSpec, epsilon: Kernel, config: SimConfig
+    e: SampledSignal, spec: LossSpec, epsilon: Kernel, config: SimConfig, work=None
 ) -> np.ndarray:
     """dE/ds_out / Ts for an output error ``e`` of the loss mode of ``spec``.
 
     A precise error is epsilon * (s - target), so its credit correlates the
-    error with epsilon.  A count error depends on s only through the counts
-    over the interval bins I, so each of those bins gets Ts * |I| * e.
+    error with epsilon, in ``work`` if given.  A count error depends on s
+    only through the counts over the interval bins I, so each of those bins
+    gets Ts * |I| * e.
     """
     if spec.mode == "count":
         return config.ts_ms * len(interval_bins(spec.interval, config)) * e.values
-    return correlate_values(e.values, epsilon, np.zeros(e.channels))
+    return correlate_values(e.values, epsilon, zero_delays(e.channels), work, keep=False)

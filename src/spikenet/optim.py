@@ -100,7 +100,12 @@ def _update(state: OptimizerState, key: str, param: np.ndarray, grad: np.ndarray
     if state.method == "nadam":
         # Nesterov look-ahead on the first moment
         m_hat = state.beta1 * m_hat + (1.0 - state.beta1) * grad / (1.0 - state.beta1**t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + state.eps_stab)
+    # lr * m_hat / (sqrt(v_hat) + eps), built in the two buffers above
+    denom = np.sqrt(v_hat, out=v_hat)
+    denom += state.eps_stab
+    m_hat *= lr
+    m_hat /= denom
+    param -= m_hat
 
 
 def step(state: OptimizerState, net: Network, grads: Gradients) -> None:

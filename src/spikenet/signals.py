@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    FormatError,
     ParameterError,
     ParseError,
     RangeError,
@@ -314,8 +315,9 @@ def write_events(path, sset: SpikeTrainSet) -> None:
 def read_events(path, neuron_count=None, train_count=None) -> SpikeTrainSet:
     """Read a spike-train set written by :func:`write_events`.
 
-    The binary format stores its own neuron count; for CSV it is inferred
-    as max index + 1 unless given.  ``train_count`` pads trailing silent
+    The binary format stores its own neuron count, and a different
+    ``neuron_count`` raises FormatError; for CSV it is inferred as max
+    index + 1 unless given.  ``train_count`` pads trailing silent
     trains, which leave no events in the file.
     """
     path = Path(path)
@@ -383,6 +385,8 @@ def _read_events_binary(path, neuron_count, train_count):
             f"{path}: offset {head + i * _EVENT_DTYPE.itemsize}: "
             f"negative label {rec['label'][i]}"
         )
-    if neuron_count is None:
-        neuron_count = stored_count
-    return _set_from_records(path, rec, neuron_count, train_count)
+    if neuron_count not in (None, stored_count):
+        raise FormatError(
+            f"{path}: file holds {stored_count} neurons, {neuron_count} were expected"
+        )
+    return _set_from_records(path, rec, stored_count, train_count)

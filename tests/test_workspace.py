@@ -1,0 +1,199 @@
+"""The kernel workspace: cached delayed-tap tables never go stale, and
+nothing a pass returns lives in reused memory.  Also the binary event
+reader's neuron-count check."""
+
+import copy
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import spikenet.kernels
+from spikenet import (
+    LayerParams,
+    LossSpec,
+    Network,
+    NeuronConfig,
+    SampledSignal,
+    SimConfig,
+    SpikeTrain,
+    SpikeTrainSet,
+    SurrogateConfig,
+    backward,
+    convolve,
+    correlate,
+    finite_diff_gradients,
+    forward,
+    init_network,
+    make_epsilon,
+    output_error,
+    parse_architecture,
+    poisson_spike_train,
+    read_events,
+    write_events,
+)
+from spikenet.errors import FormatError
+from spikenet.kernels import convolve_values, workspace
+
+NETS = {
+    "dense": ("30-12-4", 30.0, 40.0),
+    "conv": ("6x6x2-3c3-4", 40.0, 40.0),
+    "aggregate": ("6x6x2-3c3-2a-4", 40.0, 60.0),
+}
+SPEC = LossSpec(mode="count", true_count=5.0, false_count=1.0, interval=(0.0, 40.0))
+SCATTER = {"scatter": 1.0, "dense sum": 0.0}
+
+
+def _net(kind, t_ms=40.0):
+    arch, rate, gain = NETS[kind]
+    sim = SimConfig(t_ms, 1.0)
+    net = init_network(
+        parse_architecture(arch), NeuronConfig(5.0, 2.0, 1.0), sim, seed=3, gain=gain
+    )
+    rng = np.random.default_rng(4)
+    for params in net.params:
+        params.delays[:] = rng.uniform(0.0, 2.5, size=params.delays.shape)
+    return net, poisson_spike_train(net.layer_sizes[0], rate, sim, 5)
+
+
+def _fresh(net):
+    """A network with equal parameters that shares no kernel or array."""
+    params = [
+        LayerParams(None if p.weights is None else p.weights.copy(), p.delays.copy())
+        for p in net.params
+    ]
+    return Network(net.spec, params, net.neuron, net.sim, net.cutoff)
+
+
+def _pass(net, train, spec=SPEC):
+    cache = forward(net, train)
+    e = output_error(net, cache, spec, label=1)
+    grads, trace = backward(
+        net, cache, e, SurrogateConfig.for_theta(net.neuron.theta), True, spec
+    )
+    return cache, grads, trace
+
+
+def _arrays(cache, grads, trace):
+    signals = cache.spikes + cache.potentials[1:] + cache.responses + trace.errors
+    signals += [d for d in trace.deltas if d is not None]
+    arrays = [s.values for s in signals] + [e for e in cache.events if e is not None]
+    return arrays + [a for a in grads.weights + grads.delays if a is not None]
+
+
+def _assert_same_pass(net, train):
+    got, want = _arrays(*_pass(net, train)), _arrays(*_pass(_fresh(net), train))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture(params=sorted(SCATTER))
+def scatter(request, monkeypatch):
+    monkeypatch.setattr(spikenet.kernels, "_SCATTER_DENSITY", SCATTER[request.param])
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_delay_assignment_is_seen(kind, scatter):
+    net, train = _net(kind)
+    _pass(net, train)  # builds and caches every tap table
+    rng = np.random.default_rng(7)
+    for params in net.params:
+        params.delays[:] = rng.uniform(0.0, 3.0, size=params.delays.shape)
+    _assert_same_pass(net, train)
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_in_place_step_on_a_deep_copy_is_seen(kind, scatter):
+    net, train = _net(kind)
+    _pass(net, train)
+    twin = copy.deepcopy(net)
+    _pass(twin, train)
+    for params in twin.params:
+        params.delays += 0.37
+    _assert_same_pass(twin, train)
+    _assert_same_pass(net, train)  # the original kept its own delays
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_finite_difference_probes_are_seen(kind, scatter):
+    net, train = _net(kind, t_ms=12.0)  # a short window keeps the probes cheap
+    surrogate = SurrogateConfig.for_theta(net.neuron.theta)
+    spec = LossSpec(mode="count", true_count=2.0, false_count=1.0, interval=(0.0, 12.0))
+    _pass(net, train, spec)
+    got = finite_diff_gradients(net, train, spec, surrogate, label=1)
+    want = finite_diff_gradients(_fresh(net), train, spec, surrogate, label=1)
+    for a, b in zip(got.weights + got.delays, want.weights + want.delays):
+        if a is not None:
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_nothing_returned_lives_in_the_workspace(kind, scatter):
+    net, train = _net(kind)
+    first = _pass(net, train)
+    kept = [a.copy() for a in _arrays(*first)]
+    with workspace() as work:  # the one the pass used: the pool hands it back
+        scratch = [work.buffer] + [entry[3] for entry in work._tables.values()]
+        for array in _arrays(*first):
+            assert not any(np.shares_memory(array, s) for s in scratch)
+        x = SampledSignal(first[0].spikes[0].values, net.sim.ts_ms)
+        eps = net.epsilon
+        delays = net.params[0].delays
+        results = [convolve(x, eps, delays).values, correlate(x, eps, delays).values]
+        results.append(convolve_values(x.values, eps, delays, first[0].events[0], work))
+        results.append(convolve_values(x.values, eps, delays, None, work))
+        for array in results:
+            assert not any(np.shares_memory(array, s) for s in scratch)
+    other = poisson_spike_train(net.layer_sizes[0], 50.0, net.sim, 11)
+    _pass(net, other)
+    for a, b in zip(_arrays(*first), kept):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_concurrent_passes_never_share_a_workspace():
+    net, train = _net("conv")
+    want = _arrays(*_pass(net, train))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(lambda _: _arrays(*_pass(net, train)), range(12), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in runs:
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_tables_of_dropped_kernels_and_delays_are_released():
+    neuron, values, kept = NeuronConfig(5.0, 2.0, 1.0), np.ones((3, 20)), np.full(3, 1.5)
+    with workspace() as work:
+        old, new = make_epsilon(neuron, 1.0), make_epsilon(neuron, 1.0)
+        convolve_values(values, old, kept, None, work)
+        convolve_values(values, old, np.full(3, 0.5), None, work)  # a temporary
+        del old
+        convolve_values(values, new, kept, None, work)
+        refs = [(entry[0](), entry[1]()) for entry in work._tables.values()]
+    assert all(kernel is not None and delays is not None for kernel, delays in refs)
+    assert [kernel is new for kernel, delays in refs if delays is kept] == [True]
+
+
+def _six_neuron_set():
+    return SpikeTrainSet(6, (SpikeTrain(6, ((0, 1.5), (3, 2.5))),))
+
+
+def test_binary_neuron_count_must_match_the_header(tmp_path):
+    path = tmp_path / "six.slyr"
+    write_events(path, _six_neuron_set())
+    with pytest.raises(FormatError, match="six.slyr: file holds 6 neurons, 4 were expected"):
+        read_events(path, neuron_count=4)
+    assert read_events(path, neuron_count=6) == _six_neuron_set()
+    assert read_events(path) == _six_neuron_set()
+
+
+def test_csv_neuron_count_still_overrides(tmp_path):
+    path = tmp_path / "six.csv"
+    write_events(path, _six_neuron_set())
+    assert read_events(path, neuron_count=4).neuron_count == 4
