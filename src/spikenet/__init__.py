@@ -11,7 +11,6 @@ from .backprop import (
     BackpropTrace,
     Gradients,
     backward,
-    delta_layer,
     finite_diff_gradients,
     output_error,
     soft_forward,
@@ -27,7 +26,7 @@ from .errors import (
     ShapeError,
     SpikeNetError,
 )
-from .forward import SignalCache, SurrogateConfig, forward, rho, simulate_layer, soft_spike
+from .forward import SignalCache, SurrogateConfig, forward, soft_spike
 from .kernels import (
     Kernel,
     NeuronConfig,
@@ -112,7 +111,6 @@ __all__ = [
     "clamp_delays",
     "convolve",
     "correlate",
-    "delta_layer",
     "error_count",
     "error_precise",
     "evaluate",
@@ -130,9 +128,7 @@ __all__ = [
     "poisson_spike_train",
     "read_events",
     "render_architecture",
-    "rho",
     "save_checkpoint",
-    "simulate_layer",
     "soft_forward",
     "soft_loss",
     "soft_spike",

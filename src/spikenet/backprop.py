@@ -27,6 +27,8 @@ from .losses import LossSpec, error_count, error_precise, loss_value, output_cre
 from .signals import SampledSignal, SpikeTrain
 from .topology import Network, adjoint_linear, weight_gradient
 
+_RHO_BLOCK = 1 << 14  # samples of rho that delta_layer builds at a time
+
 
 @dataclass(eq=False)
 class Gradients:
@@ -100,15 +102,21 @@ def delta_layer(
     """Credit signal: rho(u) times the error correlated with the delayed kernel.
 
     The correlation pulls error from later bins back to the bins whose
-    spikes caused it, shifted by the layer's own outgoing delays; it lives
-    in ``work`` if given.
+    spikes caused it, shifted by the layer's own outgoing delays.  The
+    credit is built in place in the correlation, so it lives in ``work``
+    when that is given, valid until its next use.
     """
     if e.values.shape != u.values.shape:
         raise ShapeError(f"error shape {e.values.shape} != potential {u.values.shape}")
-    corr = correlate_values(e.values, epsilon, delays, work, keep=False)
-    values = _rho_values(u.values, theta, cfg)
-    values *= corr
-    return SampledSignal._adopt(values, e.ts_ms)
+    credit = correlate_values(e.values, epsilon, delays, work, keep=False)
+    # rho in row blocks, so no temporary is the size of the signal
+    channels, n_samples = credit.shape
+    rows = max(1, _RHO_BLOCK // n_samples)
+    block = np.empty((min(rows, channels), n_samples))
+    for start in range(0, channels, rows):
+        part = credit[start : start + rows]
+        part *= _rho_values(u.values[start : start + rows], theta, cfg, block[: len(part)])
+    return SampledSignal._adopt(credit, e.ts_ms)
 
 
 def delay_gradient(
@@ -171,9 +179,12 @@ def backward(
             grads.weights[t] = weight_gradient(
                 net, t, delta, cache.responses[t], grads.weights[t]
             )
+            # a hidden credit lives in the workspace: weight_gradient and
+            # adjoint_linear read it before delay_gradient takes the workspace
+            # again, and the adjoint never returns a view of it
             e = adjoint_linear(net, t, delta)
             if want_trace:  # else each layer's signals are freed as soon as used
-                errors[t], deltas[t + 1] = e, delta
+                errors[t], deltas[t + 1] = e, SampledSignal._adopt(delta.values.copy(), ts)
             delays = net.params[t].delays
             grads.delays[t] = delay_gradient(
                 e, cache.spikes[t], eps_dot, delays, ts, cache.events[t], grads.delays[t], work
@@ -181,6 +192,7 @@ def backward(
             if t > 0:
                 u = cache.potentials[t]
                 delta = delta_layer(e, u, epsilon, delays, theta, surrogate, work)
+            del e  # spent: freed before the next adjoint builds its own
     for t, (w, d) in enumerate(zip(grads.weights, grads.delays)):
         if (w is not None and not np.all(np.isfinite(w))) or not np.all(np.isfinite(d)):
             raise NumericError(f"non-finite gradient in transition {t}")

@@ -43,9 +43,10 @@ class SurrogateConfig:
         return cls(alpha=alpha, beta=5.0 / theta)
 
 
-def _rho_values(u: np.ndarray, theta: float, cfg: SurrogateConfig) -> np.ndarray:
-    """rho of a potential array as a new writable array, built in one buffer."""
-    out = u - theta
+def _rho_values(u: np.ndarray, theta: float, cfg: SurrogateConfig, out=None) -> np.ndarray:
+    """rho of a potential array, built in one buffer: ``out`` if given, else
+    a new writable array."""
+    out = np.subtract(u, theta, out=out)
     np.abs(out, out=out)
     out *= -cfg.beta
     np.exp(out, out=out)
@@ -81,7 +82,10 @@ class SignalCache:
     mode), ``events[l]`` the flat indices of its nonzero samples (None past
     the input in soft mode), ``potentials[l]`` the recorded membrane
     potential (None for the input layer), and ``responses[l]`` (l < n_layers)
-    the delayed kernel-filtered spike response feeding the next layer.
+    the delayed kernel-filtered spike response feeding the next layer, or
+    None where that layer is a frozen aggregation, whose weight gradient
+    needs no response.  Backward keeps each hidden layer's credit in the
+    pass's kernel workspace, not in the cache.
     """
 
     spikes: list
@@ -126,7 +130,8 @@ def forward(
     """Simulate the whole network on one input spike train.
 
     The cache holds every layer's spike signal, spike events, potential and
-    delayed response, which is exactly what the backward pass consumes.
+    delayed response (none for an aggregation's input), which is exactly
+    what the backward pass consumes.
     With a ``surrogate`` the pass runs in soft mode: each layer's spikes are
     :func:`soft_spike` of its feedforward potential, with no refractory term.
     """
@@ -145,11 +150,15 @@ def forward(
     epsilon, nu, theta = net.epsilon, net.nu, net.neuron.theta
     with workspace() as work:
         for t in range(net.n_transitions):
+            # a frozen aggregation's response is read only by its own map,
+            # so it is built in the workspace and not kept
+            frozen = net.spec.layers[t + 1].kind == "aggregate"
+            delays = net.params[t].delays
             response = convolve_values(
-                cache.spikes[t].values, epsilon, net.params[t].delays, cache.events[t], work
+                cache.spikes[t].values, epsilon, delays, cache.events[t], work, keep=not frozen
             )
             a = SampledSignal._adopt(response, s.ts_ms)
-            cache.responses.append(a)
+            cache.responses.append(None if frozen else a)
             u_ff = apply_linear(net, t, a)
             if surrogate is None:
                 s_next, u_next, events = simulate_layer(u_ff, nu, theta)

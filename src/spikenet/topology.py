@@ -379,7 +379,8 @@ def apply_linear(net: Network, t: int, a: SampledSignal) -> SampledSignal:
 
 
 def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
-    """Exact per-bin adjoint of :func:`apply_linear` for the same transition."""
+    """Exact per-bin adjoint of :func:`apply_linear` for the same transition,
+    always a new array: backward relies on it sharing no memory with ``delta``."""
     src, dst = net.spec.shapes[t], net.spec.shapes[t + 1]
     if delta.channels != dst.neurons:
         raise ShapeError(
@@ -400,8 +401,9 @@ def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
     else:  # aggregate: broadcast each block value back to its inputs
         b = net.spec.layers[t + 1].block_size
         d = _as_spatial(delta.values, dst)[:, :, None, :, None]
-        shape = (dst.channels, dst.height, b, dst.width, b, delta.n_samples)
-        out = np.broadcast_to(d, shape).reshape(src.neurons, -1)
+        # a new array even for 1x1 blocks, where a reshape would be a view
+        out = np.empty((src.neurons, delta.n_samples))
+        out.reshape(dst.channels, dst.height, b, dst.width, b, -1)[...] = d
     return SampledSignal._adopt(out, delta.ts_ms)
 
 

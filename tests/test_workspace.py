@@ -1,9 +1,11 @@
 """The kernel workspace: cached delayed-tap tables never go stale, and
-nothing a pass returns lives in reused memory.  Also the binary event
-reader's neuron-count check."""
+nothing a pass returns lives in reused memory.  A pass keeps no response
+that no gradient reads, and backward's hidden credits live in the
+workspace.  Also the binary event reader's neuron-count check."""
 
 import copy
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -20,6 +22,7 @@ from spikenet import (
     SpikeTrain,
     SpikeTrainSet,
     SurrogateConfig,
+    adjoint_linear,
     backward,
     convolve,
     correlate,
@@ -76,8 +79,8 @@ def _pass(net, train, spec=SPEC):
 
 
 def _arrays(cache, grads, trace):
-    signals = cache.spikes + cache.potentials[1:] + cache.responses + trace.errors
-    signals += [d for d in trace.deltas if d is not None]
+    signals = cache.spikes + cache.potentials[1:] + trace.errors
+    signals += [s for s in cache.responses + trace.deltas if s is not None]
     arrays = [s.values for s in signals] + [e for e in cache.events if e is not None]
     return arrays + [a for a in grads.weights + grads.delays if a is not None]
 
@@ -178,6 +181,63 @@ def test_tables_of_dropped_kernels_and_delays_are_released():
         refs = [(entry[0](), entry[1]()) for entry in work._tables.values()]
     assert all(kernel is not None and delays is not None for kernel, delays in refs)
     assert [kernel is new for kernel, delays in refs if delays is kept] == [True]
+
+
+def test_adjoint_shares_no_memory_with_its_credit():
+    """Backward keeps a credit in the workspace only while weight_gradient
+    and adjoint_linear read it, so the adjoint's error must be its own."""
+    net = init_network(
+        parse_architecture("6x6x2-3c3-2a-1a-4"), NeuronConfig(5.0, 2.0, 1.0), SimConfig(10.0, 1.0)
+    )
+    rng = np.random.default_rng(5)
+    for t in range(net.n_transitions):
+        delta = SampledSignal(rng.normal(size=(net.layer_sizes[t + 1], 10)), 1.0)
+        e = adjoint_linear(net, t, delta)
+        assert not np.shares_memory(e.values, delta.values), net.spec.layers[t + 1].kind
+
+
+@pytest.mark.parametrize("soft", [False, True])
+def test_no_response_is_kept_for_an_aggregation(soft):
+    sim = SimConfig(40.0, 1.0)
+    net = init_network(
+        parse_architecture("6x6x2-3c3-2a-1a-4"), NeuronConfig(5.0, 2.0, 1.0), sim, seed=3, gain=60.0
+    )
+    train = poisson_spike_train(net.layer_sizes[0], 60.0, sim, 5)
+    surrogate = SurrogateConfig.for_theta(net.neuron.theta) if soft else None
+    cache = forward(net, train, surrogate)
+    kinds = [layer.kind for layer in net.spec.layers[1:]]
+    assert kinds == ["conv", "aggregate", "aggregate", "dense"]
+    assert [r is None for r in cache.responses] == [k == "aggregate" for k in kinds]
+    e = output_error(net, cache, SPEC, label=1)
+    grads = backward(net, cache, e, SurrogateConfig.for_theta(net.neuron.theta), spec=SPEC)
+    assert [w is None for w in grads.weights] == [k == "aggregate" for k in kinds]
+
+
+def test_backward_holds_about_one_signal_above_its_entry():
+    """At its peak backward holds the error it is building and a block of
+    rho: 1.37 of the largest signal (the 4c3 layer's) on this net over 200
+    bins.  A credit held as a new array beside the spent error and the new
+    one reads 3.37."""
+    sim = SimConfig(200.0, 1.0)
+    net = init_network(
+        parse_architecture("10x10x2-4c3-2a-3"), NeuronConfig(5.0, 2.0, 1.0), sim, seed=3, gain=40.0
+    )
+    train = poisson_spike_train(net.layer_sizes[0], 60.0, sim, 5)
+    spec = LossSpec(mode="count", true_count=5.0, false_count=1.0, interval=(0.0, 200.0))
+    surrogate = SurrogateConfig.for_theta(net.neuron.theta)
+    cache = forward(net, train)
+    e = output_error(net, cache, spec, label=1)
+    grads = backward(net, cache, e, surrogate, spec=spec)  # grows the workspace
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(net, cache, e, surrogate, spec=spec, out=grads)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    signal = max(net.layer_sizes) * sim.n_samples * 8
+    assert peak < 2.0 * signal
 
 
 def _six_neuron_set():
