@@ -98,6 +98,56 @@ class SignalCache:
         return self.spikes[-1]
 
 
+def _threshold_bins(u: np.ndarray, nu: np.ndarray, theta: float) -> np.ndarray:
+    """Threshold ``u`` in place one bin at a time, every neuron at once;
+    return the spike events in bin order."""
+    n = u.shape[1]
+    events = []
+    for m in range(n):
+        fired = (u[:, m] >= theta).nonzero()[0]
+        if fired.size:
+            reach = min(len(nu), n - m)
+            u[fired, m : m + reach] += nu[:reach]
+            events.append(fired * n + m)
+    return np.concatenate(events) if events else np.zeros(0, dtype=np.intp)
+
+
+def _threshold_walk(u: np.ndarray, nu: np.ndarray, theta: float, candidates) -> np.ndarray:
+    """Threshold ``u`` in place by visiting only ``candidates``, the flat
+    indices where it reaches theta before any refraction, in row-major
+    order; return the spike events in bin order.
+
+    As nu < 0, no other sample can fire.  A candidate past the reach of its
+    row's last spike fires outright; any other fires if its refracted
+    potential still reaches theta.  Each spike adds nu with the same
+    elementwise additions, in the same order per sample, as
+    :func:`_threshold_bins`, so the two agree bit for bit.
+    """
+    n, taps = u.shape[1], len(nu)
+    flat = u.reshape(-1)
+    fired, until = [], 0  # refraction of the last spike ends at flat index until
+    for i in candidates.tolist():
+        if i >= until or flat[i] >= theta:
+            until = min(i + taps, i - i % n + n)
+            row = flat[i:until]  # np.add into the view; += would copy it back onto itself
+            np.add(row, nu if until - i == taps else nu[: until - i], out=row)
+            fired.append(i)
+    events = np.array(fired, dtype=np.intp)
+    return events[np.argsort(events % n, kind="stable")]
+
+
+# The per-bin loop pays 8-20 us of numpy calls per bin whatever the layer
+# holds; the walk pays about 1.2 us per candidate sample.  On potentials
+# captured from the benchmark nets (one thread, min of 5 calls) the walk
+# wins at 2-4 candidates per bin (25 x 50: 0.10 vs 0.33 ms, 10 x 300: 0.6-1.1
+# vs 2.2-3.3 ms), breaks even near 12 (100-200 x 300) and loses above
+# (500 x 300: 13-14 vs 5.4-6.2 ms at 38, 8192 x 300: 660 vs 60 ms).
+# Counting the candidates costs 5-6 ms at 8192 x 300, a tenth of the loop,
+# so only layers of at most _WALK_SAMPLES samples are counted.
+_WALK_SAMPLES = 1 << 15
+_WALK_PER_BIN = 12
+
+
 def simulate_layer(u_ff: SampledSignal, nu: Kernel, theta: float) -> tuple:
     """Run threshold-and-refract dynamics on a feedforward potential.
 
@@ -105,19 +155,18 @@ def simulate_layer(u_ff: SampledSignal, nu: Kernel, theta: float) -> tuple:
     flat indices (neuron * n_samples + bin) of the spikes in bin order.  A
     neuron spikes at the first bin where its accumulated potential reaches
     theta; each spike adds the refractory kernel from its bin onward.
+
+    Two loops agree bit for bit: a small layer with few samples at or above
+    theta walks those candidate samples, any other steps through its bins.
     """
     channels, n = u_ff.channels, u_ff.n_samples
     ts = u_ff.ts_ms
-    nu_samples = nu.samples
     u = u_ff.values.copy()
-    events = []
-    for m in range(n):
-        fired = (u[:, m] >= theta).nonzero()[0]
-        if fired.size:
-            reach = min(len(nu_samples), n - m)
-            u[fired, m : m + reach] += nu_samples[:reach]
-            events.append(fired * n + m)
-    events = np.concatenate(events) if events else np.zeros(0, dtype=np.intp)
+    candidates = np.flatnonzero(u >= theta) if u.size <= _WALK_SAMPLES else None
+    if candidates is not None and len(candidates) < _WALK_PER_BIN * n:
+        events = _threshold_walk(u, nu.samples, theta, candidates)
+    else:
+        events = _threshold_bins(u, nu.samples, theta)
     events.flags.writeable = False
     s = np.zeros((channels, n))
     s.reshape(-1)[events] = 1.0 / ts

@@ -295,16 +295,14 @@ def convolve_values(
         shape = (len(events), taps)
         weights, index = work.take((shape, np.float64), (shape, np.intp))
         # tap j of event (c, b) lands on flat sample c * n_samples + b + j;
-        # taps past the last bin get zero weight, so their spill into the
-        # next channel adds nothing
-        bins = events % n_samples
-        np.take(kd, events // n_samples, axis=0, out=weights, mode="clip")
+        # taps past the row's last bin go to one dump bin past the signal
+        rows = events // n_samples
+        np.take(kd, rows, axis=0, out=weights, mode="clip")
         weights *= values.reshape(-1)[events][:, None]
-        late = np.flatnonzero(bins > n_samples - taps)
-        weights[late] *= np.arange(taps) < n_samples - bins[late, None]
         np.add(events[:, None], np.arange(taps), out=index)
+        np.putmask(index, index >= (rows[:, None] + 1) * n_samples, values.size)
         out = np.bincount(
-            index.reshape(-1), weights=weights.reshape(-1), minlength=values.size + taps - 1
+            index.reshape(-1), weights=weights.reshape(-1), minlength=values.size + 1
         )
         # bincount counts in integers when there are no events
         out = out[: values.size].astype(np.float64, copy=False)

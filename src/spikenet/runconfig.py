@@ -56,7 +56,7 @@ _KEYS = {
         "inputs": str,
         "targets": str,
         "labels": str,
-        "classes": str,
+        "classes": int,
         "eval_inputs": str,
         "eval_targets": str,
         "eval_labels": str,
@@ -150,7 +150,7 @@ class RunConfig:
             raise ConfigError(f"{labels_path}: no labels")
         # train_count pins the pairing even if trailing samples are silent
         inputs = read_events(inputs_path, neuron_count=counts[0], train_count=len(labels))
-        classes = int(self.data.get("classes", max(labels) + 1))
+        classes = self.data.get("classes", max(labels) + 1)
         return Dataset(list(zip(inputs.trains, labels)), class_count=classes)
 
 

@@ -163,6 +163,16 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "wobble" in err
 
 
+def test_non_integer_class_count_exits_1(tmp_path, capsys):
+    _write_dataset(tmp_path)
+    cfg = _train_cfg(tmp_path)
+    text = cfg.read_text().replace("targets = targets.csv", "targets = targets.csv\nclasses = ten")
+    cfg.write_text(text)
+    code = main(["train", "--config", str(cfg)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("ERROR 1: [data] classes = 'ten':")
+
+
 def test_eval_runs_on_checkpoint(tmp_path, capsys):
     _write_dataset(tmp_path)
     cfg = _train_cfg(tmp_path, epochs=1)
