@@ -124,7 +124,6 @@ def delay_gradient(
     s: SampledSignal,
     epsilon_dot: Kernel,
     delays: np.ndarray,
-    ts: float,
     events=None,
     out=None,
     work: Workspace | None = None,
@@ -139,7 +138,7 @@ def delay_gradient(
     adot = convolve_values(s.values, epsilon_dot, delays, events, work, keep=False)
     adot *= e.values
     out = np.sum(adot, axis=1, out=out)
-    out *= -ts
+    out *= -epsilon_dot.ts_ms
     return out
 
 
@@ -187,7 +186,7 @@ def backward(
                 errors[t], deltas[t + 1] = e, SampledSignal._adopt(delta.values.copy(), ts)
             delays = net.params[t].delays
             grads.delays[t] = delay_gradient(
-                e, cache.spikes[t], eps_dot, delays, ts, cache.events[t], grads.delays[t], work
+                e, cache.spikes[t], eps_dot, delays, cache.events[t], grads.delays[t], work
             )
             if t > 0:
                 u = cache.potentials[t]

@@ -56,11 +56,18 @@ configuration file sections and keys (defaults in parentheses):
 """
 
 
-def _add_common(sub) -> None:
+_OVERRIDES = {
+    "seed": dict(type=int, help="override [train] seed"),
+    "threads": dict(type=int, help="override [train] threads"),
+    "out": dict(help="override [output] dir"),
+}
+
+
+def _add_config(sub, *overrides) -> None:
+    """--config and the named overrides of its values, which default to None."""
     sub.add_argument("--config", required=True, help="configuration file path")
-    sub.add_argument("--seed", type=int, default=None, help="override [train] seed")
-    sub.add_argument("--threads", type=int, default=None, help="override [train] threads")
-    sub.add_argument("--out", default=None, help="override [output] dir")
+    for name in overrides:
+        sub.add_argument("--" + name, **_OVERRIDES[name])
 
 
 def _out_dir(args, rc: RunConfig) -> Path:
@@ -117,7 +124,7 @@ def _write_report(path: Path, rc: RunConfig, epochs: int, rows) -> None:
 def cmd_eval(args) -> int:
     rc = load_config(args.config)
     net, _, epoch = load_checkpoint(args.checkpoint)
-    cfg = rc.train_config(seed=args.seed, threads=args.threads)
+    cfg = rc.train_config(threads=args.threads)
     dataset = rc.load_dataset("eval")
     if dataset is None:
         dataset = rc.load_dataset("train")
@@ -221,24 +228,24 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("train", help="train a network per the config file")
-    _add_common(p)
+    _add_config(p, "seed", "threads", "out")
     p.add_argument("--epochs", type=int, default=None, help="override [train] epochs")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    _add_common(p)
+    _add_config(p, "threads")
     p.add_argument("--checkpoint", required=True, help="checkpoint file to load")
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("simulate", help="forward-simulate inputs, dump rasters")
-    _add_common(p)
+    _add_config(p, "seed", "out")
     p.add_argument("--input", required=True, help="event file with input trains")
     p.add_argument("--checkpoint", default=None, help="optional checkpoint to load")
     p.add_argument("--traces", action="store_true", help="also dump potential traces")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("gradcheck", help="verify gradients against finite differences")
-    _add_common(p)
+    _add_config(p, "seed")
     p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
     p.add_argument("--tol", type=float, default=1e-4, help="max relative error allowed")
     p.add_argument("--rate", type=float, default=100.0, help="input Poisson rate (Hz)")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError
 from .kernels import Kernel, convolve_values, workspace
 from .signals import SampledSignal, SpikeTrain, event_bins, spikes_to_signal
 from .topology import Network, apply_linear
@@ -52,11 +52,6 @@ def _rho_values(u: np.ndarray, theta: float, cfg: SurrogateConfig, out=None) -> 
     np.exp(out, out=out)
     out /= cfg.alpha
     return out
-
-
-def rho(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
-    """Pointwise surrogate derivative of the spike function at potential u."""
-    return SampledSignal._adopt(_rho_values(u.values, theta, cfg), u.ts_ms)
 
 
 def soft_spike(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
@@ -203,6 +198,9 @@ def forward(
             # so it is built in the workspace and not kept
             frozen = net.spec.layers[t + 1].kind == "aggregate"
             delays = net.params[t].delays
+            if not np.isfinite(delays).all():
+                c = np.flatnonzero(~np.isfinite(delays))[0]
+                raise NumericError(f"non-finite delay in transition {t} at neuron {c}")
             response = convolve_values(
                 cache.spikes[t].values, epsilon, delays, cache.events[t], work, keep=not frozen
             )

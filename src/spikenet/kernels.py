@@ -332,8 +332,8 @@ def _check_compatible(x: SampledSignal, kernel: Kernel, delay) -> np.ndarray:
             f"signal Ts {x.ts_ms} does not match kernel Ts {kernel.ts_ms}"
         )
     delays = _delay_vector(delay, x.channels)
-    if np.any(delays < 0.0):
-        raise ParameterError("delays must be >= 0")
+    if not np.all((delays >= 0.0) & (delays < np.inf)):
+        raise ParameterError("delays must be finite and >= 0")
     return delays
 
 

@@ -87,8 +87,8 @@ def error_count(
         )
     if not np.all(np.isfinite(desired)):
         raise ParameterError(f"desired counts must be finite, got {desired}")
+    actual = spike_counts(s_out, interval, config)
     bins = interval_bins(interval, config)
-    actual = s_out.values[:, bins].sum(axis=1) * config.ts_ms
     e = np.zeros((s_out.channels, s_out.n_samples))
     e[:, bins] = (actual - desired)[:, None]
     return SampledSignal._adopt(e, s_out.ts_ms)

@@ -16,7 +16,8 @@ from .backprop import Gradients
 from .errors import NumericError, ParameterError, ShapeError
 from .topology import Network
 
-_METHODS = ("sgd", "rmsprop", "adam", "nadam")
+# the learning rate of each method when none is given
+_DEFAULT_RATE = {"sgd": 0.01, "rmsprop": 0.001, "adam": 0.001, "nadam": 0.001}
 
 
 @dataclass
@@ -26,11 +27,12 @@ class OptimizerState:
     Buffers are allocated lazily on the first step so a fresh state can
     be built before the network exists; the counter and buffers are not
     init parameters, so a ``dataclasses.replace`` copy starts fresh.
-    ``delay_lr_scale`` multiplies the learning rate for delay updates.
+    ``learning_rate`` defaults per method (0.01 for sgd, else 0.001), and
+    ``delay_lr_scale`` multiplies it for delay updates.
     """
 
     method: str = "adam"
-    learning_rate: float = 0.001
+    learning_rate: float | None = None
     delay_lr_scale: float = 0.1
     beta1: float = 0.9
     beta2: float = 0.999
@@ -42,30 +44,32 @@ class OptimizerState:
 
     def __post_init__(self):
         self.method = self.method.lower()
-        if self.method not in _METHODS:
+        if self.method not in _DEFAULT_RATE:
             raise ParameterError(
-                f"unknown optimizer '{self.method}', expected one of {_METHODS}"
+                f"unknown optimizer '{self.method}', expected one of {tuple(_DEFAULT_RATE)}"
             )
+        if self.learning_rate is None:
+            self.learning_rate = _DEFAULT_RATE[self.method]
         if self.learning_rate < 0:
             raise ParameterError("learning rate must be nonnegative")
         if self.delay_lr_scale < 0:
             raise ParameterError("delay learning-rate scale must be nonnegative")
 
     @classmethod
-    def sgd(cls, learning_rate: float = 0.01, **kw) -> "OptimizerState":
-        return cls(method="sgd", learning_rate=learning_rate, **kw)
+    def sgd(cls, learning_rate: float | None = None, **kw) -> "OptimizerState":
+        return cls("sgd", learning_rate, **kw)
 
     @classmethod
-    def rmsprop(cls, learning_rate: float = 0.001, **kw) -> "OptimizerState":
-        return cls(method="rmsprop", learning_rate=learning_rate, **kw)
+    def rmsprop(cls, learning_rate: float | None = None, **kw) -> "OptimizerState":
+        return cls("rmsprop", learning_rate, **kw)
 
     @classmethod
-    def adam(cls, learning_rate: float = 0.001, **kw) -> "OptimizerState":
-        return cls(method="adam", learning_rate=learning_rate, **kw)
+    def adam(cls, learning_rate: float | None = None, **kw) -> "OptimizerState":
+        return cls("adam", learning_rate, **kw)
 
     @classmethod
-    def nadam(cls, learning_rate: float = 0.001, **kw) -> "OptimizerState":
-        return cls(method="nadam", learning_rate=learning_rate, **kw)
+    def nadam(cls, learning_rate: float | None = None, **kw) -> "OptimizerState":
+        return cls("nadam", learning_rate, **kw)
 
 
 def _buffer(store: dict, key: str, like: np.ndarray) -> np.ndarray:

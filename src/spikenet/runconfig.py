@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .forward import SurrogateConfig
 from .kernels import DEFAULT_CUTOFF, NeuronConfig
 from .losses import LossSpec
-from .optim import _METHODS, OptimizerState
+from .optim import OptimizerState
 from .signals import SimConfig, SpikeTrain, read_events
 from .topology import Network, init_network, parse_architecture
 from .trainer import Dataset, TrainConfig
@@ -222,11 +222,6 @@ def load_config(path: str | Path) -> RunConfig:
     else:
         loss = LossSpec(mode=mode)
     architecture = _required(values, "network", "architecture")
-    optimizer = values["optimizer"]
-    if optimizer.get("method") in _METHODS:  # its constructor holds its default rate
-        optimizer = getattr(OptimizerState, optimizer.pop("method"))(**optimizer)
-    else:  # the defaults, or an unknown method that the constructor names
-        optimizer = OptimizerState(**optimizer)
     values["train"].setdefault("epochs", 100)
     return RunConfig(
         architecture=architecture,
@@ -234,7 +229,7 @@ def load_config(path: str | Path) -> RunConfig:
         neuron=neuron,
         gain=values["network"].get("gain"),
         cutoff=values["network"].get("cutoff", DEFAULT_CUTOFF),
-        optimizer=optimizer,
+        optimizer=OptimizerState(**values["optimizer"]),
         train=TrainConfig(loss=loss, surrogate=surrogate, **values["train"]),
         data=values["data"],
         out_dir=values["output"].get("dir", "runs"),

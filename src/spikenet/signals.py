@@ -93,11 +93,9 @@ class SpikeTrain:
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ParameterError(f"events must be (neuron, time) pairs, not shape {pairs.shape}")
         index, times = pairs[:, 0], pairs[:, 1]
-        valid = (index >= 0.0) & (index < count) & (index == np.floor(index))
-        valid &= (times >= 0.0) & (times < np.inf)
-        if not valid.all():
-            first = np.argmin(valid)
-            _reject_event(index[first], times[first], count)
+        bad = _first_bad_event(index, times, count)
+        if bad is not None:
+            raise ParameterError(bad[1])
         neurons = index.astype(np.intp)
         step = np.diff(times)
         if np.all(step >= 0.0) and np.all(np.diff(neurons)[step == 0.0] >= 0):
@@ -131,17 +129,22 @@ class SpikeTrain:
     def __len__(self) -> int:
         return self.times.size
 
-    def times_of(self, neuron: int) -> np.ndarray:
-        return self.times[self.neurons == neuron]
 
-
-def _reject_event(neuron: float, time: float, count: int):
+def _first_bad_event(neurons: np.ndarray, times: np.ndarray, count: int) -> tuple | None:
+    """(position, problem) of the first event that is not an integer neuron
+    index in [0, count) with a finite time >= 0, or None if every event is."""
+    valid = (neurons >= 0) & (neurons < count) & (neurons == np.floor(neurons))
+    valid &= (times >= 0.0) & (times < np.inf)
+    if valid.all():
+        return None
+    i = int(np.argmin(valid))
+    neuron, time = neurons[i], times[i]
     if not 0 <= neuron < count:
-        raise ParameterError(f"neuron index {neuron:.17g} outside [0, {count})")
+        return i, f"neuron index {neuron:.17g} outside [0, {count})"
     if neuron != np.floor(neuron):
-        raise ParameterError(f"neuron index {neuron:.17g} is not an integer")
+        return i, f"neuron index {neuron:.17g} is not an integer"
     kind = "negative" if np.isfinite(time) else "non-finite"
-    raise ParameterError(f"neuron {neuron:.0f}: {kind} spike time {time}")
+    return i, f"neuron {neuron:.0f}: {kind} spike time {time}"
 
 
 @dataclass(frozen=True)
@@ -269,8 +272,9 @@ def _records(sset: SpikeTrainSet) -> np.ndarray:
     return rec
 
 
-def _set_from_records(path, rec, neuron_count, train_count):
-    """Group (neuron, time, label) records by label into a SpikeTrainSet."""
+def _set_from_records(path, rec, neuron_count, train_count, where):
+    """Group (neuron, time, label) records by label into a SpikeTrainSet;
+    ``where(i)`` names the place of record i in the file."""
     labels = rec["label"]
     if neuron_count is None:
         neuron_count = int(rec["neuron"].max()) + 1 if rec.size else 1
@@ -284,9 +288,16 @@ def _set_from_records(path, rec, neuron_count, train_count):
     order = np.argsort(labels, kind="stable")
     events = np.column_stack((rec["neuron"], rec["time"]))[order]
     bounds = np.searchsorted(labels[order], np.arange(train_count + 1))
-    trains = tuple(
-        SpikeTrain(neuron_count, events[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
-    )
+    try:
+        trains = tuple(
+            SpikeTrain(neuron_count, events[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
+        )
+    except ParameterError:
+        # the trains checked their events; only a failure pays for locating it
+        bad = _first_bad_event(rec["neuron"], rec["time"], neuron_count)
+        if bad is None:
+            raise
+        raise ParseError(f"{path}: {where(bad[0])}: {bad[1]}") from None
     return SpikeTrainSet(neuron_count, trains)
 
 
@@ -359,7 +370,11 @@ def _read_events_csv(path, neuron_count, train_count):
             f"{path}: line {i}: expected an integer neuron, a time and a "
             f"label >= 0, got {lines[i - 1]!r}"
         ) from None
-    return _set_from_records(path, rec, neuron_count, train_count)
+
+    def where(i):  # record i is the i-th body line that is not blank
+        return f"line {[n for n, line in enumerate(lines[1:], 2) if line.strip()][i]}"
+
+    return _set_from_records(path, rec, neuron_count, train_count, where)
 
 
 def _read_events_binary(path, neuron_count, train_count):
@@ -378,15 +393,16 @@ def _read_events_binary(path, neuron_count, train_count):
             f"{path}: offset {len(blob)}: expected {expected} bytes for {n_events} events"
         )
     rec = np.frombuffer(blob, dtype=_EVENT_DTYPE, count=n_events, offset=head)
+
+    def where(i):
+        return f"offset {head + i * _EVENT_DTYPE.itemsize}"
+
     negative = np.flatnonzero(rec["label"] < 0)
     if negative.size:
         i = negative[0]
-        raise ParseError(
-            f"{path}: offset {head + i * _EVENT_DTYPE.itemsize}: "
-            f"negative label {rec['label'][i]}"
-        )
+        raise ParseError(f"{path}: {where(i)}: negative label {rec['label'][i]}")
     if neuron_count not in (None, stored_count):
         raise FormatError(
             f"{path}: file holds {stored_count} neurons, {neuron_count} were expected"
         )
-    return _set_from_records(path, rec, stored_count, train_count)
+    return _set_from_records(path, rec, stored_count, train_count, where)

@@ -118,8 +118,7 @@ class NetworkSpec:
 
 _TOKEN_CONV = re.compile(r"^(\d+)c(\d+)$")
 _TOKEN_AGG = re.compile(r"^(\d+)a$")
-_TOKEN_OUT = re.compile(r"^(\d+)o$")
-_TOKEN_DENSE = re.compile(r"^(\d+)$")
+_TOKEN_DENSE = re.compile(r"^(\d+)(o?)$")  # "o" marks the output layer
 _TOKEN_INPUT = re.compile(r"^(\d+)(x(\d+))?(x(\d+))?$")
 
 
@@ -174,11 +173,9 @@ def _parse_layer_token(token: str, last: bool) -> LayerSpec:
         if b < 1:
             raise ParseError(f"malformed aggregation token '{token}'")
         return LayerSpec("aggregate", block_size=b)
-    if m := _TOKEN_OUT.match(token):
-        if not last:
-            raise ParseError(f"output marker '{token}' only allowed on the last layer")
-        return LayerSpec("dense", size=int(m.group(1)))
     if m := _TOKEN_DENSE.match(token):
+        if m.group(2) and not last:
+            raise ParseError(f"output marker '{token}' only allowed on the last layer")
         n = int(m.group(1))
         if n < 1:
             raise ParseError(f"malformed dense token '{token}': zero width")

@@ -30,7 +30,7 @@ from spikenet import (
 )
 from spikenet.backprop import delay_gradient, delta_layer, output_error, weight_gradient
 from spikenet.errors import NumericError
-from spikenet.forward import rho, soft_spike
+from spikenet.forward import _rho_values, soft_spike
 from spikenet.losses import error_count, error_precise
 
 
@@ -47,7 +47,7 @@ def test_surrogate_config_for_theta():
 def test_rho_landmarks():
     cfg = SurrogateConfig(alpha=10.0, beta=0.5)
     theta = 10.0
-    at = lambda u: rho(_sig([[u]]), theta, cfg).values[0, 0]
+    at = lambda u: _rho_values(np.array([[u]]), theta, cfg)[0, 0]
     assert at(10.0) == pytest.approx(1.0 / 10.0, rel=1e-15)
     assert at(12.0) == pytest.approx(np.exp(-1.0) / 10.0, rel=1e-14)
     assert at(8.0) == pytest.approx(at(12.0), rel=1e-14)
@@ -76,7 +76,7 @@ def test_soft_spike_derivative_is_rho():
     for u in (-2.0, 7.0, 10.0, 13.0, 20.0):
         left = soft_spike(_sig([[u - h]]), 10.0, cfg).values[0, 0]
         right = soft_spike(_sig([[u + h]]), 10.0, cfg).values[0, 0]
-        want = rho(_sig([[u]]), 10.0, cfg).values[0, 0]
+        want = _rho_values(np.array([[u]]), 10.0, cfg)[0, 0]
         assert (right - left) / (2 * h) == pytest.approx(want, rel=1e-4, abs=1e-9)
 
 
@@ -181,7 +181,7 @@ def test_delay_gradient_silent_source_is_zero():
     net = _toy_net()
     e = _sig(np.ones((3, 25)))
     s = _sig(np.zeros((3, 25)))
-    g = delay_gradient(e, s, net.epsilon_dot, np.zeros(3), 1.0)
+    g = delay_gradient(e, s, net.epsilon_dot, np.zeros(3))
     np.testing.assert_array_equal(g, np.zeros(3))
 
 
@@ -192,7 +192,7 @@ def test_delay_gradient_matches_reference():
     e = rng.normal(size=(3, 25))
     s = (rng.uniform(size=(3, 25)) < 0.3).astype(float)
     delays = rng.uniform(0.0, 3.0, size=3)
-    got = delay_gradient(_sig(e), _sig(s), net.epsilon_dot, delays, 1.0)
+    got = delay_gradient(_sig(e), _sig(s), net.epsilon_dot, delays)
     for j in range(3):
         a_dot = ref_convolve(s[j], dot_ref, 1.0, delays[j])
         want = -1.0 * np.sum(a_dot * e[j])

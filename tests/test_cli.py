@@ -5,7 +5,14 @@ import pytest
 
 import spikenet.backprop
 import spikenet.cli
-from spikenet import SimConfig, poisson_spike_train, read_events, write_events
+from spikenet import (
+    SimConfig,
+    load_config,
+    poisson_spike_train,
+    read_events,
+    save_checkpoint,
+    write_events,
+)
 from spikenet.cli import main
 
 _BASE_CFG = """
@@ -272,3 +279,34 @@ def test_simulate_lists_same_bin_input_events_at_the_bin_centre(tmp_path):
                  "--out", str(sim_out)]) == 0
     raster0 = read_events(sim_out / "raster_layer0.csv")
     assert raster0.trains[0].events == ((3, 4.5), (3, 4.5), (0, 10.5))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--checkpoint", "c.slck", "--seed", "3"],
+        ["eval", "--checkpoint", "c.slck", "--out", "o"],
+        ["simulate", "--input", "in.csv", "--threads", "2"],
+        ["gradcheck", "--threads", "2"],
+        ["gradcheck", "--out", "o"],
+    ],
+)
+def test_subcommands_reject_overrides_they_would_not_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", str(tmp_path / "run.cfg"), *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_reports_a_non_finite_delay(tmp_path, capsys, bad):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    net = load_config(cfg).build_network()
+    net.params[1].delays[2] = bad
+    save_checkpoint(net, None, tmp_path / "bad.slck")
+    (tmp_path / "in.csv").write_text("neuron,time_ms,label\n0,2.5,0\n")
+    code = main(["simulate", "--config", str(cfg), "--input", str(tmp_path / "in.csv"),
+                 "--checkpoint", str(tmp_path / "bad.slck"), "--out", str(tmp_path / "sim")])
+    assert code == 1
+    assert capsys.readouterr().err == "ERROR 1: non-finite delay in transition 1 at neuron 2\n"

@@ -9,6 +9,7 @@ from spikenet import (
     SampledSignal,
     SimConfig,
     SpikeTrain,
+    SurrogateConfig,
     forward,
     init_network,
     make_nu,
@@ -152,6 +153,21 @@ def test_forward_flags_a_non_finite_weight_with_its_transition(arch, t, bad):
     train = poisson_spike_train(net.layer_sizes[0], 100.0, net.sim, 2)
     with pytest.raises(NumericError, match=f"non-finite potential in transition {t}"):
         forward(net, train)
+
+
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("arch", ["4-3-2", "6x6x2-2c3-2a-2"])
+@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_forward_flags_a_non_finite_delay_with_its_neuron(arch, t, bad, soft):
+    net = init_network(
+        parse_architecture(arch), NeuronConfig(10.0, 2.0, 1.0), SimConfig(20.0, 1.0), seed=1
+    )
+    net.params[t].delays[-1] = bad
+    train = poisson_spike_train(net.layer_sizes[0], 100.0, net.sim, 2)
+    neuron = net.layer_sizes[t] - 1
+    with pytest.raises(NumericError, match=f"delay in transition {t} at neuron {neuron}$"):
+        forward(net, train, SurrogateConfig() if soft else None)
 
 
 def test_forward_cache_shapes():

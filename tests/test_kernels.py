@@ -215,6 +215,14 @@ def test_convolve_rejects_negative_delay():
         convolve(SampledSignal(np.zeros((1, 10)), 1.0), eps, delay=-0.5)
 
 
+@pytest.mark.parametrize("op", [convolve, correlate])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_convolve_and_correlate_reject_non_finite_delays(op, bad):
+    eps = make_epsilon(*_config())
+    with pytest.raises(ParameterError, match="finite"):
+        op(SampledSignal(np.ones((2, 10)), 1.0), eps, delay=np.array([0.5, bad]))
+
+
 def test_epsilon_dot_matches_central_difference_quadratically():
     """Central differences of the sampled response converge at O(Ts^2);
     halving Ts divides the worst interior error by about four."""

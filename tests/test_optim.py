@@ -148,6 +148,16 @@ def test_updates_are_deterministic():
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize(
+    "method, rate", [("sgd", 0.01), ("rmsprop", 0.001), ("adam", 0.001), ("nadam", 0.001)]
+)
+def test_every_constructor_gives_a_method_the_same_default_rate(method, rate):
+    assert OptimizerState(method=method).learning_rate == rate
+    assert OptimizerState(method=method.upper()).learning_rate == rate
+    assert getattr(OptimizerState, method)().learning_rate == rate
+    assert getattr(OptimizerState, method)(0.5).learning_rate == 0.5
+
+
 def test_rejects_unknown_method_and_bad_rates():
     with pytest.raises(ParameterError):
         OptimizerState(method="quantum")

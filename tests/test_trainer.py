@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import spikenet.trainer
 from spikenet import (
     Dataset,
     Gradients,
@@ -344,6 +345,28 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     for pa, pc in zip(net_a.params, net_c.params):
         np.testing.assert_array_equal(pa.weights, pc.weights)
         np.testing.assert_array_equal(pa.delays, pc.delays)
+
+
+def test_eval_rows_and_checkpoints_follow_their_cadences(tmp_path, monkeypatch):
+    saved = []
+    save = spikenet.trainer.save_checkpoint
+
+    def record(net, state, path, epoch):
+        saved.append(epoch)
+        save(net, state, path, epoch)
+
+    monkeypatch.setattr(spikenet.trainer, "save_checkpoint", record)
+    net = _net(seed=1)
+    cfg = _cfg(5, eval_every=2, checkpoint_every=3)
+    rows = train(
+        net, OptimizerState.adam(learning_rate=0.01), _precise_dataset(net, n=2), cfg,
+        out_dir=tmp_path, eval_set=_precise_dataset(net, n=2, seed=1),
+    )
+    splits = ["train", "train", "eval", "train", "train", "eval", "train"]
+    assert [(r.epoch, r.split) for r in rows] == list(zip([1, 2, 2, 3, 4, 4, 5], splits))
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert lines == [METRICS_HEADER] + [r.as_csv() for r in rows]
+    assert saved == [3, 5]
 
 
 @pytest.mark.parametrize("failing", ["fsync", "replace"])
