@@ -74,69 +74,3 @@ from .trainer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BackpropTrace",
-    "ConfigError",
-    "Dataset",
-    "FormatError",
-    "Gradients",
-    "Kernel",
-    "LayerParams",
-    "LayerSpec",
-    "LossSpec",
-    "MetricRow",
-    "Network",
-    "NetworkSpec",
-    "NeuronConfig",
-    "NumericError",
-    "OptimizerState",
-    "ParameterError",
-    "ParseError",
-    "RangeError",
-    "RunConfig",
-    "SampledSignal",
-    "ShapeError",
-    "SignalCache",
-    "SimConfig",
-    "SpikeNetError",
-    "SpikeTrain",
-    "SpikeTrainSet",
-    "SurrogateConfig",
-    "TrainConfig",
-    "adjoint_linear",
-    "apply_linear",
-    "backward",
-    "classify",
-    "clamp_delays",
-    "convolve",
-    "correlate",
-    "error_count",
-    "error_precise",
-    "evaluate",
-    "finite_diff_gradients",
-    "forward",
-    "init_network",
-    "load_checkpoint",
-    "load_config",
-    "loss_value",
-    "make_epsilon",
-    "make_epsilon_dot",
-    "make_nu",
-    "output_error",
-    "parse_architecture",
-    "poisson_spike_train",
-    "read_events",
-    "render_architecture",
-    "save_checkpoint",
-    "soft_forward",
-    "soft_loss",
-    "soft_spike",
-    "spike_counts",
-    "spikes_to_signal",
-    "step",
-    "train",
-    "train_epoch",
-    "write_events",
-    "write_metrics",
-]

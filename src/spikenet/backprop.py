@@ -108,7 +108,7 @@ def delta_layer(
     """
     if e.values.shape != u.values.shape:
         raise ShapeError(f"error shape {e.values.shape} != potential {u.values.shape}")
-    credit = correlate_values(e.values, epsilon, delays, work, keep=False)
+    credit = correlate_values(e.values, epsilon, delays, work)
     # rho in row blocks, so no temporary is the size of the signal
     channels, n_samples = credit.shape
     rows = max(1, _RHO_BLOCK // n_samples)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -155,9 +154,6 @@ def _taps(kernel: Kernel, delays: np.ndarray, n_samples: int) -> int:
     return max(1, min(n_samples, len(kernel.samples) + extra))
 
 
-_OWN_MAPPING = 1 << 20  # bytes from which a workspace buffer is mapped on its own
-
-
 class Workspace:
     """Scratch memory of one worker, reused from call to call.
 
@@ -178,14 +174,7 @@ class Workspace:
         sizes = [-(-math.prod(s) * np.dtype(d).itemsize // 64) * 64 for s, d in specs]
         total = sum(sizes)
         if self.buffer.size < total:
-            # A large buffer gets a mapping of its own: kept inside the heap it
-            # would pin the memory freed below it (nmnist_mlp peak RSS +9 MB).
-            # A small one stays in the heap, where it steadies the heap's top
-            # (frozen_noise: 0.2-0.4 instead of 0.3-15 page faults per pass).
-            if total >= _OWN_MAPPING:
-                self.buffer = np.frombuffer(mmap.mmap(-1, total), dtype=np.uint8)
-            else:
-                self.buffer = np.empty(total, dtype=np.uint8)
+            self.buffer = np.empty(total, dtype=np.uint8)
         arrays, start = [], 0
         for (shape, dtype), size in zip(specs, sizes):
             flat = self.buffer[start : start + size].view(dtype)
@@ -313,15 +302,16 @@ def convolve_values(
     return out
 
 
-def correlate_values(values, kernel: Kernel, delays, work=None, keep=True) -> np.ndarray:
+def correlate_values(values, kernel: Kernel, delays, work=None) -> np.ndarray:
     """out[c, n] = Ts * sum_m k(m*Ts - d_c) * values[c, n + m]; no sign check.
 
-    ``work`` and ``keep`` act as in :func:`convolve_values`."""
+    The result lives in ``work``, a :class:`Workspace` as in
+    :func:`convolve_values`, valid until its next use."""
     channels, n_samples = values.shape
     delays = _delay_vector(delays, channels)
     work = Workspace() if work is None else work
     kd = work.delayed_taps(kernel, delays, _taps(kernel, delays, n_samples))
-    out = _window_sum(values, kd, work, keep, False)
+    out = _window_sum(values, kd, work, False, False)
     out *= kernel.ts_ms
     return out
 

@@ -42,6 +42,8 @@ class LossSpec:
                 raise ParameterError("count loss needs an interval (t0, t1) with t0 < t1")
 
     def desired_counts(self, label: int, classes: int) -> np.ndarray:
+        if not 0 <= label < classes:
+            raise ParameterError(f"label {label} outside 0..{classes - 1}")
         desired = np.full(classes, float(self.false_count))
         desired[label] = float(self.true_count)
         return desired
@@ -111,4 +113,4 @@ def output_credit(
     """
     if spec.mode == "count":
         return config.ts_ms * len(interval_bins(spec.interval, config)) * e.values
-    return correlate_values(e.values, epsilon, zero_delays(e.channels), work, keep=False)
+    return correlate_values(e.values, epsilon, zero_delays(e.channels), work)

@@ -75,9 +75,32 @@ class OptimizerState:
 def _buffer(store: dict, key: str, like: np.ndarray) -> np.ndarray:
     if key not in store:
         store[key] = np.zeros_like(like)
-    elif store[key].shape != like.shape:
-        raise ShapeError(f"optimizer buffer '{key}' shape {store[key].shape} != {like.shape}")
     return store[key]
+
+
+def _check_shapes(state: OptimizerState, net: Network, grads: Gradients) -> None:
+    """Raise ShapeError unless every gradient and moment buffer fits its
+    parameter, so a rejected step changes nothing."""
+    n_t = net.n_transitions
+    if len(grads.weights) != n_t or len(grads.delays) != n_t:
+        raise ShapeError(
+            f"gradients cover {len(grads.weights)} weight and {len(grads.delays)} "
+            f"delay transitions, network has {n_t}"
+        )
+    for t, params in enumerate(net.params):
+        for kind, key, param, grad in (
+            ("weight", f"w{t}", params.weights, grads.weights[t]),
+            ("delay", f"d{t}", params.delays, grads.delays[t]),
+        ):
+            if param is None:  # frozen weights take no gradient
+                continue
+            if grad is None or grad.shape != param.shape:
+                raise ShapeError(f"{kind} gradient shape mismatch in transition {t}")
+            for store in (state.moment1, state.moment2):
+                if key in store and store[key].shape != param.shape:
+                    raise ShapeError(
+                        f"optimizer buffer '{key}' shape {store[key].shape} != {param.shape}"
+                    )
 
 
 def _update(state: OptimizerState, key: str, param: np.ndarray, grad: np.ndarray, lr: float):
@@ -113,21 +136,16 @@ def _update(state: OptimizerState, key: str, param: np.ndarray, grad: np.ndarray
 
 
 def step(state: OptimizerState, net: Network, grads: Gradients) -> None:
-    """Advance parameters one optimizer step in place; clamps delays >= 0."""
-    if len(grads.delays) != net.n_transitions:
-        raise ShapeError(
-            f"gradients cover {len(grads.delays)} transitions, network has "
-            f"{net.n_transitions}"
-        )
+    """Advance parameters one optimizer step in place; clamps delays >= 0.
+
+    Every shape is checked first: a step that raises ShapeError changes
+    no parameter, moment or counter."""
+    _check_shapes(state, net, grads)
     state.step_count += 1
     delay_lr = state.learning_rate * state.delay_lr_scale
     for t, params in enumerate(net.params):
         if params.weights is not None:
-            if grads.weights[t] is None or grads.weights[t].shape != params.weights.shape:
-                raise ShapeError(f"weight gradient shape mismatch in transition {t}")
             _update(state, f"w{t}", params.weights, grads.weights[t], state.learning_rate)
-        if grads.delays[t].shape != params.delays.shape:
-            raise ShapeError(f"delay gradient shape mismatch in transition {t}")
         _update(state, f"d{t}", params.delays, grads.delays[t], delay_lr)
     clamp_delays(net)
     for t, params in enumerate(net.params):

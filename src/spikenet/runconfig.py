@@ -145,7 +145,7 @@ class RunConfig:
         if prefix + "labels" not in self.data:
             raise ConfigError(f"count loss needs '{prefix}labels' in [data]")
         labels_path = self._resolve(prefix + "labels")
-        labels = _read_labels(labels_path)
+        labels = _read_labels(labels_path, counts[-1])
         if not labels:
             raise ConfigError(f"{labels_path}: no labels")
         # train_count pins the pairing even if trailing samples are silent
@@ -154,16 +154,22 @@ class RunConfig:
         return Dataset(list(zip(inputs.trains, labels)), class_count=classes)
 
 
-def _read_labels(path: Path) -> list:
+def _read_labels(path: Path, classes: int) -> list:
+    """The integer labels of a labels file, each in 0..classes-1."""
     labels = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         try:
-            labels.append(int(text))
+            label = int(text)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: label '{text}' is not an integer") from exc
+        if not 0 <= label < classes:
+            raise ConfigError(
+                f"{path}:{lineno}: label {label} outside the output layer's 0..{classes - 1}"
+            )
+        labels.append(label)
     return labels
 
 

@@ -332,8 +332,16 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path):
-    """Rebuild (net, optim_state, epoch) exactly as saved."""
+    """Rebuild (net, optim_state, epoch) exactly as saved; weights, delays
+    and moments must be finite."""
     cur = _Cursor(Path(path).read_bytes())
+
+    def finite_array(name: str) -> np.ndarray:
+        array = cur.read_array()
+        if not np.all(np.isfinite(array)):
+            raise FormatError(f"{path}: non-finite values in {name}")
+        return array
+
     if cur.take(4) != _MAGIC:
         raise FormatError(f"{path}: not a checkpoint file (bad magic)")
     version = cur.unpack("<H")
@@ -345,9 +353,9 @@ def load_checkpoint(path: str | Path):
     if n_transitions != spec.n_transitions:
         raise FormatError(f"{path}: transition count mismatch")
     params = []
-    for _ in range(n_transitions):
-        weights = cur.read_array() if cur.unpack("<B") else None
-        params.append(LayerParams(weights, cur.read_array()))
+    for t in range(n_transitions):
+        weights = finite_array(f"weights of transition {t}") if cur.unpack("<B") else None
+        params.append(LayerParams(weights, finite_array(f"delays of transition {t}")))
     net = Network(spec, params, **constants)
     optim_state = None
     if cur.unpack("<B"):
@@ -356,8 +364,7 @@ def load_checkpoint(path: str | Path):
         optim_state.step_count = cur.unpack("<Q")
         for _ in range(cur.unpack("<I")):
             name = cur.read_str()
-            buf = cur.read_array()
             store = optim_state.moment1 if name.startswith("m1.") else optim_state.moment2
-            store[name[3:]] = buf
+            store[name[3:]] = finite_array(f"optimizer moment {name}")
     epoch = cur.unpack("<I")
     return net, optim_state, epoch

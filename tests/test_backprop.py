@@ -29,7 +29,7 @@ from spikenet import (
     soft_loss,
 )
 from spikenet.backprop import delay_gradient, delta_layer, output_error, weight_gradient
-from spikenet.errors import NumericError
+from spikenet.errors import NumericError, ParameterError
 from spikenet.forward import _rho_values, soft_spike
 from spikenet.losses import error_count, error_precise
 
@@ -117,6 +117,15 @@ def test_output_error_dispatches_count():
     got = output_error(net, cache, spec, label=1)
     want = error_count(cache.output_spikes, spec.desired_counts(1, 2), (0.0, 25.0), net.sim)
     np.testing.assert_array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_output_error_rejects_a_label_outside_the_output_layer(label):
+    """-1 would index the last class and train it as the true one."""
+    net = _toy_net()
+    cache = forward(net, _poisson_in(net, 120.0, 0))
+    with pytest.raises(ParameterError, match=f"label {label} outside 0..1"):
+        output_error(net, cache, LossSpec("count", 6.0, 2.0, (0.0, 25.0)), label=label)
 
 
 def test_delta_layer_zero_error_gives_zero():

@@ -180,6 +180,29 @@ def test_non_integer_class_count_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR 1: [data] classes = 'ten':")
 
 
+def test_train_rejects_a_label_outside_the_output_layer(tmp_path, capsys):
+    """classes defaults to the largest label + 1, so only the output width
+    catches a label of 3 on a 4-6-3 net."""
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text(_GRADCHECK_CFG + """
+[loss]
+mode = count
+true_count = 4
+false_count = 1
+
+[data]
+inputs = inputs.csv
+labels = labels.txt
+""")
+    _write_dataset(tmp_path, channels=4, count=2)
+    (tmp_path / "labels.txt").write_text("0\n3\n")
+    code = main(["train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR 1: ") and err.count("\n") == 1
+    assert "labels.txt:2: label 3 outside" in err
+
+
 def test_eval_runs_on_checkpoint(tmp_path, capsys):
     _write_dataset(tmp_path)
     cfg = _train_cfg(tmp_path, epochs=1)
@@ -309,4 +332,5 @@ def test_simulate_reports_a_non_finite_delay(tmp_path, capsys, bad):
     code = main(["simulate", "--config", str(cfg), "--input", str(tmp_path / "in.csv"),
                  "--checkpoint", str(tmp_path / "bad.slck"), "--out", str(tmp_path / "sim")])
     assert code == 1
-    assert capsys.readouterr().err == "ERROR 1: non-finite delay in transition 1 at neuron 2\n"
+    err = capsys.readouterr().err
+    assert err == f"ERROR 1: {tmp_path / 'bad.slck'}: non-finite values in delays of transition 1\n"

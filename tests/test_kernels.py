@@ -165,16 +165,40 @@ def test_correlate_impulse_reads_kernel_backwards():
 
 
 def test_convolve_correlate_adjoint():
-    """<K x, y> == <x, K* y> for the same kernel and delay."""
-    eps = make_epsilon(*_config(tau_s=2.0, tau_r=3.0))
-    for seed in range(10):
+    """<K x, y> == <x, K* y> for the same kernel and fractional per-channel
+    delays.  x is dense, through the window sum, or sparse spikes passed
+    with their events below the 1/16 cutoff, through the scatter."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.integers(1, 60),
+        st.sampled_from([1.0, 0.5]),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    def check(channels, bins, ts, sparse, seed):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(4, 40))
-        y = rng.normal(size=(4, 40))
-        delays = rng.uniform(0.0, 4.0, size=4)
-        lhs = float(np.sum(convolve_values(x, eps, delays) * y))
+        eps = make_epsilon(*_config(tau_s=2.0, tau_r=3.0, ts=ts))
+        delays = rng.uniform(0.0, 4.0, size=channels)
+        y = rng.normal(size=(channels, bins))
+        if sparse:
+            size = channels * bins
+            count = rng.integers(0, (size - 1) // 16 + 1)
+            events = np.sort(rng.choice(size, count, replace=False))
+            x = np.zeros(size)
+            x[events] = 1.0 / ts
+            x = x.reshape(channels, bins)
+        else:
+            x, events = rng.normal(size=(channels, bins)), None
+        lhs = float(np.sum(convolve_values(x, eps, delays, events) * y))
         rhs = float(np.sum(x * correlate_values(y, eps, delays)))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    check()
 
 
 def test_convolve_linearity():

@@ -176,3 +176,21 @@ def test_rejects_mismatched_gradient_shapes():
         step(state, net, Gradients([np.zeros((1, 1))], [np.zeros(3)]))
     with pytest.raises(ShapeError):
         step(state, net, Gradients([np.zeros((1, 1))], []))
+    # a bad delay gradient in transition 1 is found before transition 0
+    # moves: no parameter, moment or counter changes
+    net = manual_network(
+        "2-3-1",
+        [np.full((3, 2), 0.5), np.full((1, 3), 0.25)],
+        [np.full(2, 1.0), np.full(3, 2.0)],
+        NeuronConfig(10.0, 2.0, 1.0),
+        SimConfig(10.0, 1.0),
+    )
+    before = [(p.weights.copy(), p.delays.copy()) for p in net.params]
+    state = OptimizerState.adam(0.1)
+    grads = Gradients([np.ones((3, 2)), np.ones((1, 3))], [np.ones(2), np.ones(2)])
+    with pytest.raises(ShapeError, match="delay gradient shape mismatch in transition 1"):
+        step(state, net, grads)
+    for (w, d), params in zip(before, net.params):
+        np.testing.assert_array_equal(params.weights, w)
+        np.testing.assert_array_equal(params.delays, d)
+    assert state.moment1 == {} and state.moment2 == {} and state.step_count == 0

@@ -261,6 +261,16 @@ def test_count_dataset_rejects_empty_labels_file(tmp_path):
         load_config(_count_config(tmp_path, "inputs.csv")).load_dataset()
 
 
+@pytest.mark.parametrize("label", ["3", "-1"])
+def test_count_dataset_rejects_a_label_outside_the_output_layer(tmp_path, label):
+    sim = SimConfig(20.0, 1.0)
+    trains = tuple(poisson_spike_train(4, 200.0, sim, seed) for seed in range(3))
+    write_events(tmp_path / "inputs.csv", SpikeTrainSet(4, trains))
+    (tmp_path / "labels.txt").write_text(f"0\n# a comment\n{label}\n1\n")
+    with pytest.raises(ConfigError, match=f"labels.txt:3: label {label} outside .*0..2"):
+        load_config(_count_config(tmp_path, "inputs.csv")).load_dataset()
+
+
 def _precise_config(tmp_path, inputs_name, targets_name):
     return _write(tmp_path, f"""
 [network]

@@ -324,6 +324,24 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(cut)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["weights", "delays", "moment"])
+def test_checkpoint_rejects_non_finite_arrays(tmp_path, where, bad):
+    net = _net(seed=9)
+    state = OptimizerState.adam(learning_rate=0.004)
+    step(state, net, Gradients.zeros_like(net))
+    if where == "weights":
+        net.params[1].weights[1, 2], name = bad, "weights of transition 1"
+    elif where == "delays":
+        net.params[0].delays[3], name = bad, "delays of transition 0"
+    else:
+        state.moment2["w1"][0, 1], name = bad, "optimizer moment m2.w1"
+    path = tmp_path / "bad.slck"
+    save_checkpoint(net, state, path)
+    with pytest.raises(FormatError, match=f"bad.slck: non-finite values in {name}$"):
+        load_checkpoint(path)
+
+
 def test_resume_matches_uninterrupted_run(tmp_path):
     def fresh():
         net = _net(seed=10)
