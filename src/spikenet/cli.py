@@ -28,13 +28,7 @@ from .signals import (
     read_events,
     write_events,
 )
-from .trainer import (
-    evaluate,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-    write_metrics,
-)
+from .trainer import evaluate, load_checkpoint, train
 
 _CONFIG_REFERENCE = """\
 configuration file sections and keys (defaults in parentheses):
@@ -88,15 +82,7 @@ def cmd_train(args) -> int:
         raise ConfigError("no 'inputs' key in [data]; nothing to train on")
     eval_set = rc.load_dataset("eval")
     out = _out_dir(args, rc)
-    out.mkdir(parents=True, exist_ok=True)
-    if cfg.epochs == 0:
-        rows = [evaluate(net, train_set, cfg, epoch=0, split="train")]
-        if eval_set is not None:
-            rows.append(evaluate(net, eval_set, cfg, epoch=0))
-        write_metrics(out / "metrics.csv", rows)
-        save_checkpoint(net, optim_state, out / "checkpoint.slck", 0)
-    else:
-        rows = train(net, optim_state, train_set, cfg, out_dir=out, eval_set=eval_set)
+    rows = train(net, optim_state, train_set, cfg, out_dir=out, eval_set=eval_set)
     _write_report(out / "report.txt", rc, cfg.epochs, rows)
     last = rows[-1]
     acc = "" if last.accuracy is None else f", accuracy {last.accuracy:.4f}"

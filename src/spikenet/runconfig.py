@@ -11,10 +11,10 @@ import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, RangeError
 from .forward import SurrogateConfig
 from .kernels import DEFAULT_CUTOFF, NeuronConfig
-from .losses import LossSpec
+from .losses import LossSpec, interval_bins
 from .optim import OptimizerState
 from .signals import SimConfig, SpikeTrain, read_events
 from .topology import Network, init_network, parse_architecture
@@ -128,6 +128,11 @@ class RunConfig:
         if prefix + "inputs" not in self.data:
             return None
         counts = parse_architecture(self.architecture).neuron_counts
+        if not 1 <= self.data.get("classes", 1) <= counts[-1]:
+            raise ConfigError(
+                f"[data] classes = {self.data['classes']} outside 1..{counts[-1]}, "
+                "the output layer's width"
+            )
         inputs_path = self._resolve(prefix + "inputs")
         if self.train.loss.mode == "precise":
             if prefix + "targets" not in self.data:
@@ -225,6 +230,10 @@ def load_config(path: str | Path) -> RunConfig:
             false_count=_required(values, "loss", "false_count"),
             interval=loss.get("interval", (0.0, sim.t_ms)),
         )
+        try:
+            interval_bins(loss.interval, sim)
+        except RangeError as exc:
+            raise ConfigError(f"[loss] {exc}") from exc
     else:
         loss = LossSpec(mode=mode)
     architecture = _required(values, "network", "architecture")

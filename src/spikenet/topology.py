@@ -314,7 +314,7 @@ def _as_spatial(values: np.ndarray, shape: _Shape) -> np.ndarray:
     return values.reshape(shape.channels, shape.height, shape.width, -1)
 
 
-def _conv_rows(x: np.ndarray, k: int, out_w: int, scatter: bool = False):
+def _conv_rows(x: np.ndarray, k: int, out_w: int):
     """Walk the output rows of a valid k x k convolution over x.
 
     ``x`` is a (c, H, W*n) view: each image row holds its W pixels' n bins
@@ -324,24 +324,16 @@ def _conv_rows(x: np.ndarray, k: int, out_w: int, scatter: bool = False):
     (c*k*k, out_w*n) array whose rows, ordered (c, p, q) like the
     flattened weights, hold those k*k slices: one GEMM with the (f, c*k*k)
     weight matrix computes the whole row.
-
-    With ``scatter`` the direction reverses (col2im): the block is yielded
-    for the caller to fill, and its k*k slices are then added into x.
     """
     c, h, row = x.shape
     n = row // (out_w + k - 1)
     block = np.empty((c, k, k, out_w * n))
     cols = [slice(q * n, (q + out_w) * n) for q in range(k)]
     for i in range(h - k + 1):
-        if not scatter:
-            for p in range(k):
-                for q in range(k):
-                    block[:, p, q] = x[:, i + p, cols[q]]
+        for p in range(k):
+            for q in range(k):
+                block[:, p, q] = x[:, i + p, cols[q]]
         yield i, block.reshape(c * k * k, -1)
-        if scatter:
-            for p in range(k):
-                for q in range(k):
-                    x[:, i + p, cols[q]] += block[:, p, q]
 
 
 def apply_linear(net: Network, t: int, a: SampledSignal) -> SampledSignal:
@@ -391,9 +383,16 @@ def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
         k = net.spec.layers[t + 1].kernel_size
         d = delta.values.reshape(dst.channels, dst.height, -1)
         w2t = w.reshape(dst.channels, -1).T
-        back = np.zeros((src.channels, src.height, src.width * delta.n_samples))
-        for i, block in _conv_rows(back, k, dst.width, scatter=True):
-            np.matmul(w2t, d[:, i], out=block)
+        n = delta.n_samples
+        back = np.zeros((src.channels, src.height, src.width * n))
+        # col2im: each output row's GEMM fills a block whose k*k slices add into back
+        block = np.empty((src.channels, k, k, dst.width * n))
+        cols = [slice(q * n, (q + dst.width) * n) for q in range(k)]
+        for i in range(dst.height):
+            np.matmul(w2t, d[:, i], out=block.reshape(w2t.shape[0], -1))
+            for p in range(k):
+                for q in range(k):
+                    back[:, i + p, cols[q]] += block[:, p, q]
         out = back.reshape(src.neurons, -1)
     else:  # aggregate: broadcast each block value back to its inputs
         b = net.spec.layers[t + 1].block_size

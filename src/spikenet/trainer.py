@@ -211,15 +211,21 @@ def train(
 ) -> list:
     """Run epochs start_epoch+1 .. cfg.epochs; returns all metric rows.
 
-    With out_dir set, appends rows to metrics.csv as they are produced
-    and maintains a rolling checkpoint (always written at the end).
+    Zero epochs train nothing: the rows are then the untrained network's
+    epoch-0 evaluation on ``dataset`` (split "train") and on ``eval_set``
+    if given.  With out_dir set, appends rows to metrics.csv as they are
+    produced and maintains a rolling checkpoint (always written at the end).
     """
     out = Path(out_dir) if out_dir is not None else None
     rows = []
+    if cfg.epochs == 0:
+        rows.append(evaluate(net, dataset, cfg, 0, "train"))
+        if eval_set is not None:
+            rows.append(evaluate(net, eval_set, cfg, 0))
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         if start_epoch == 0:
-            write_metrics(out / "metrics.csv", [])
+            write_metrics(out / "metrics.csv", rows)
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
         new_rows = [train_epoch(net, dataset, cfg, optim_state, epoch)]
         if eval_set is not None and cfg.eval_every and epoch % cfg.eval_every == 0:
@@ -367,4 +373,6 @@ def load_checkpoint(path: str | Path):
             store = optim_state.moment1 if name.startswith("m1.") else optim_state.moment2
             store[name[3:]] = finite_array(f"optimizer moment {name}")
     epoch = cur.unpack("<I")
+    if extra := len(cur.data) - cur.pos:
+        raise FormatError(f"{path}: {extra} extra bytes after the epoch counter")
     return net, optim_state, epoch

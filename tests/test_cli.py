@@ -180,27 +180,60 @@ def test_non_integer_class_count_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR 1: [data] classes = 'ten':")
 
 
-def test_train_rejects_a_label_outside_the_output_layer(tmp_path, capsys):
-    """classes defaults to the largest label + 1, so only the output width
-    catches a label of 3 on a 4-6-3 net."""
+def _count_run(tmp_path, labels="0\n2\n", loss_extra="", data_extra=""):
+    """argv of a one-epoch count-mode train of the 4-6-3 net on two samples."""
     cfg = tmp_path / "count.cfg"
-    cfg.write_text(_GRADCHECK_CFG + """
+    cfg.write_text(_GRADCHECK_CFG + f"""
 [loss]
 mode = count
 true_count = 4
 false_count = 1
+{loss_extra}
 
 [data]
 inputs = inputs.csv
 labels = labels.txt
+{data_extra}
 """)
     _write_dataset(tmp_path, channels=4, count=2)
-    (tmp_path / "labels.txt").write_text("0\n3\n")
-    code = main(["train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "run")])
+    (tmp_path / "labels.txt").write_text(labels)
+    return ["train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "run")]
+
+
+def test_train_rejects_a_label_outside_the_output_layer(tmp_path, capsys):
+    """classes defaults to the largest label + 1, so only the output width
+    catches a label of 3 on a 4-6-3 net."""
+    code = main(_count_run(tmp_path, labels="0\n3\n"))
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("ERROR 1: ") and err.count("\n") == 1
     assert "labels.txt:2: label 3 outside" in err
+
+
+def test_train_rejects_classes_above_the_output_width(tmp_path, capsys):
+    assert main(_count_run(tmp_path, data_extra="classes = 7")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR 1: [data] classes = 7 outside 1..3") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_rejects_an_interval_outside_the_window_before_reading_data(tmp_path, capsys):
+    assert main(_count_run(tmp_path, loss_extra="interval = 0, 50")) == 1
+    err = capsys.readouterr().err
+    assert err == "ERROR 1: [loss] interval (0.0, 50.0) outside [0, 30.0] ms\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_rejects_a_checkpoint_with_trailing_bytes(tmp_path, capsys):
+    _write_dataset(tmp_path)
+    cfg = _train_cfg(tmp_path, epochs=0)
+    assert main(["train", "--config", str(cfg)]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.slck"
+    ckpt.write_bytes(ckpt.read_bytes() + b"GARBAGE")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"ERROR 1: {ckpt}: 7 extra bytes after the epoch counter\n"
 
 
 def test_eval_runs_on_checkpoint(tmp_path, capsys):

@@ -83,6 +83,27 @@ interval = 5, 35
     assert rc.train.loss.interval == (5.0, 35.0)
 
 
+@pytest.mark.parametrize("interval", ["0, 50", "-1, 20"])
+def test_count_interval_outside_the_window_is_rejected_on_load(tmp_path, interval):
+    """The window check of losses.interval_bins runs as the file loads,
+    not at the first sample."""
+    with pytest.raises(ConfigError, match=r"^\[loss\] interval \(.*\) outside \[0, 30.0\] ms"):
+        load_config(_write(tmp_path, f"""
+[network]
+architecture = 10-4
+
+[simulation]
+t_ms = 30
+ts_ms = 1
+
+[loss]
+mode = count
+true_count = 9
+false_count = 2
+interval = {interval}
+"""))
+
+
 def test_inline_comments_are_stripped(tmp_path):
     rc = load_config(_write(tmp_path, """
 [network]
@@ -304,3 +325,15 @@ def test_precise_dataset_keeps_silent_last_target(tmp_path, ext):
     write_events(tmp_path / f"tg.{ext}", SpikeTrainSet(3, targets))
     data = load_config(_precise_config(tmp_path, f"in.{ext}", f"tg.{ext}")).load_dataset()
     assert data.samples == list(zip(inputs, targets))
+
+
+@pytest.mark.parametrize("classes", [0, 4, 7])
+def test_count_dataset_rejects_classes_outside_the_output_width(tmp_path, classes):
+    sim = SimConfig(20.0, 1.0)
+    trains = tuple(poisson_spike_train(4, 200.0, sim, seed) for seed in range(2))
+    write_events(tmp_path / "inputs.csv", SpikeTrainSet(4, trains))
+    (tmp_path / "labels.txt").write_text("0\n2\n")
+    path = _count_config(tmp_path, "inputs.csv")
+    path.write_text(path.read_text() + f"classes = {classes}\n")
+    with pytest.raises(ConfigError, match=rf"^\[data\] classes = {classes} outside 1\.\.3"):
+        load_config(path).load_dataset()

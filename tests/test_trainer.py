@@ -260,6 +260,26 @@ def test_metrics_accuracy_blank_in_precise_mode(tmp_path):
     assert all(line.endswith(",") for line in lines[1:])
 
 
+def test_train_with_zero_epochs_writes_the_epoch_zero_rows(tmp_path):
+    net = _net(seed=4)
+    data, held_out = _count_dataset(net, n=3, seed=5), _count_dataset(net, n=2, seed=6)
+    cfg = _cfg(0, mode="count")
+    want = [evaluate(net, data, cfg, 0, "train"), evaluate(net, held_out, cfg, 0)]
+    before = [np.array(p.weights) for p in net.params]
+    state = OptimizerState.adam()
+    out = tmp_path / "run"
+    rows = train(net, state, data, cfg, out_dir=out, eval_set=held_out)
+    assert rows == want and [(r.epoch, r.split) for r in rows] == [(0, "train"), (0, "eval")]
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert lines == [METRICS_HEADER] + [r.as_csv() for r in want]
+    loaded, loaded_state, epoch = load_checkpoint(out / "checkpoint.slck")
+    assert epoch == 0 and loaded_state.step_count == state.step_count == 0
+    for p, q, w in zip(net.params, loaded.params, before):
+        np.testing.assert_array_equal(p.weights, w)
+        np.testing.assert_array_equal(q.weights, w)
+    assert train(net, state, data, cfg) == want[:1]
+
+
 def test_write_metrics_append(tmp_path):
     from spikenet.trainer import MetricRow
 
@@ -322,6 +342,10 @@ def test_checkpoint_rejects_corruption(tmp_path):
     cut.write_bytes(path.read_bytes()[:-9])
     with pytest.raises(FormatError):
         load_checkpoint(cut)
+    long = tmp_path / "long.slck"
+    long.write_bytes(path.read_bytes() + b"GARBAGE")
+    with pytest.raises(FormatError, match="long.slck: 7 extra bytes after the epoch counter$"):
+        load_checkpoint(long)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
