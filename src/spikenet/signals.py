@@ -44,10 +44,14 @@ class SimConfig:
         if not (self.t_ms > 0.0 and self.ts_ms > 0.0):
             raise ParameterError("t_ms and ts_ms must be positive")
         ratio = self.t_ms / self.ts_ms
+        if not (np.isfinite(ratio) and np.isfinite(1.0 / self.ts_ms)):
+            raise ParameterError(f"t_ms={self.t_ms}, ts_ms={self.ts_ms} is not a finite grid")
         if abs(ratio - round(ratio)) > 1e-9:
             raise ParameterError(
                 f"t_ms={self.t_ms} is not an integer multiple of ts_ms={self.ts_ms}"
             )
+        if round(ratio) < 1:
+            raise ParameterError(f"t_ms={self.t_ms} is shorter than one ts_ms={self.ts_ms} bin")
 
     @property
     def n_samples(self) -> int:
@@ -71,7 +75,9 @@ class SpikeTrain:
     (time, neuron): ``neurons`` (indices) and ``times`` (ms).  The
     constructor takes (neuron_index, time_ms) pairs or an (n, 2) array
     of them, and rejects out-of-range or fractional neuron indices and
-    negative or non-finite times.
+    negative or non-finite times; ``_adopt``, for arrays the package has
+    just built and checked, does neither the checks nor the copy.
+    ``read_events`` slices every train of a file from one such pair.
     """
 
     neuron_count: int
@@ -96,18 +102,19 @@ class SpikeTrain:
         bad = _first_bad_event(index, times, count)
         if bad is not None:
             raise ParameterError(bad[1])
-        neurons = index.astype(np.intp)
-        step = np.diff(times)
-        if np.all(step >= 0.0) and np.all(np.diff(neurons)[step == 0.0] >= 0):
-            times = times.copy()  # sorted, as readers and generators give them
-        else:
-            order = np.lexsort((neurons, times))
-            neurons, times = neurons[order], times[order]
+        neurons, times = index.astype(np.intp), times.copy()
+        _sort_trains(neurons, times, np.array([0, times.size]))
+        self.__dict__.update(SpikeTrain._adopt(count, neurons, times).__dict__)
+
+    @classmethod
+    def _adopt(cls, neuron_count: int, neurons: np.ndarray, times: np.ndarray) -> "SpikeTrain":
+        """Freeze valid, (time, neuron)-sorted intp neurons and float64 times
+        in place and wrap them."""
         neurons.flags.writeable = False
         times.flags.writeable = False
-        object.__setattr__(self, "neuron_count", count)
-        object.__setattr__(self, "neurons", neurons)
-        object.__setattr__(self, "times", times)
+        train = object.__new__(cls)
+        train.__dict__.update(neuron_count=neuron_count, neurons=neurons, times=times)
+        return train
 
     @property
     def events(self) -> tuple:
@@ -133,10 +140,14 @@ class SpikeTrain:
 def _first_bad_event(neurons: np.ndarray, times: np.ndarray, count: int) -> tuple | None:
     """(position, problem) of the first event that is not an integer neuron
     index in [0, count) with a finite time >= 0, or None if every event is."""
+    integral = neurons.dtype.kind != "f" or np.array_equal(neurons, np.floor(neurons))
+    if not neurons.size or (
+        integral and neurons.min() >= 0 and neurons.max() < count
+        and times.min() >= 0.0 and times.max() < np.inf
+    ):
+        return None
     valid = (neurons >= 0) & (neurons < count) & (neurons == np.floor(neurons))
     valid &= (times >= 0.0) & (times < np.inf)
-    if valid.all():
-        return None
     i = int(np.argmin(valid))
     neuron, time = neurons[i], times[i]
     if not 0 <= neuron < count:
@@ -272,12 +283,27 @@ def _records(sset: SpikeTrainSet) -> np.ndarray:
     return rec
 
 
+def _sort_trains(neurons: np.ndarray, times: np.ndarray, bounds: np.ndarray) -> None:
+    """Sort each train ``bounds[k]:bounds[k + 1]`` of the two arrays by
+    (time, neuron) in place; only trains out of that order are sorted."""
+    late = times[1:] < times[:-1]
+    late |= (times[1:] == times[:-1]) & (neurons[1:] < neurons[:-1])
+    late[bounds[(bounds > 0) & (bounds < times.size)] - 1] = False  # pairs across two trains
+    # a set, not np.unique, which imports numpy.ma (about 1 MB of RSS)
+    for k in set((np.searchsorted(bounds, np.flatnonzero(late), side="right") - 1).tolist()):
+        span = slice(bounds[k], bounds[k + 1])
+        order = np.lexsort((neurons[span], times[span]))
+        neurons[span], times[span] = neurons[span][order], times[span][order]
+
+
 def _set_from_records(path, rec, neuron_count, train_count, where):
-    """Group (neuron, time, label) records by label into a SpikeTrainSet;
+    """Group (neuron, time, label) records by label into a SpikeTrainSet
+    whose trains are read-only slices of one neuron and one time array;
     ``where(i)`` names the place of record i in the file."""
     labels = rec["label"]
+    neurons, times = rec["neuron"].astype(np.intp), rec["time"].astype(np.float64)
     if neuron_count is None:
-        neuron_count = int(rec["neuron"].max()) + 1 if rec.size else 1
+        neuron_count = int(neurons.max()) + 1 if rec.size else 1
     used = int(labels.max()) + 1 if rec.size else 0
     if train_count is None:
         train_count = used
@@ -285,20 +311,18 @@ def _set_from_records(path, rec, neuron_count, train_count, where):
         raise ParseError(
             f"{path}: event label {used - 1} exceeds requested train count {train_count}"
         )
-    order = np.argsort(labels, kind="stable")
-    events = np.column_stack((rec["neuron"], rec["time"]))[order]
-    bounds = np.searchsorted(labels[order], np.arange(train_count + 1))
-    try:
-        trains = tuple(
-            SpikeTrain(neuron_count, events[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
-        )
-    except ParameterError:
-        # the trains checked their events; only a failure pays for locating it
-        bad = _first_bad_event(rec["neuron"], rec["time"], neuron_count)
-        if bad is None:
-            raise
-        raise ParseError(f"{path}: {where(bad[0])}: {bad[1]}") from None
-    return SpikeTrainSet(neuron_count, trains)
+    bad = _first_bad_event(neurons, times, neuron_count)
+    if bad is not None:
+        raise ParseError(f"{path}: {where(bad[0])}: {bad[1]}")
+    if np.any(labels[1:] < labels[:-1]):
+        order = np.argsort(labels, kind="stable")
+        labels, neurons, times = labels[order], neurons[order], times[order]
+    bounds = np.searchsorted(labels, np.arange(train_count + 1))
+    _sort_trains(neurons, times, bounds)
+    return SpikeTrainSet(neuron_count, tuple(
+        SpikeTrain._adopt(neuron_count, neurons[lo:hi], times[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ))
 
 
 def write_events(path, sset: SpikeTrainSet) -> None:

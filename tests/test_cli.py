@@ -367,3 +367,14 @@ def test_simulate_reports_a_non_finite_delay(tmp_path, capsys, bad):
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"ERROR 1: {tmp_path / 'bad.slck'}: non-finite values in delays of transition 1\n"
+
+
+def test_simulate_rejects_an_infinite_window(tmp_path, capsys):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG.replace("t_ms = 30", "t_ms = inf"))
+    (tmp_path / "in.csv").write_text("neuron,time_ms,label\n0,2.5,0\n")
+    code = main(["simulate", "--config", str(cfg), "--input", str(tmp_path / "in.csv"),
+                 "--out", str(tmp_path / "sim")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "ERROR 1: t_ms=inf, ts_ms=1.0 is not a finite grid\n"

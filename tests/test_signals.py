@@ -46,7 +46,14 @@ def test_sim_config_fractional_step():
     assert cfg.bin_center(1) == 0.75
 
 
-@pytest.mark.parametrize("t_ms,ts_ms", [(50.0, 0.3), (0.0, 1.0), (50.0, -1.0), (10.0, 20.0)])
+@pytest.mark.parametrize(
+    "t_ms,ts_ms",
+    [
+        (50.0, 0.3), (0.0, 1.0), (50.0, -1.0), (10.0, 20.0),
+        # grids that are not finite, or hold no sample
+        (np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf), (1.0, 1e-320), (1e-320, 1.0),
+    ],
+)
 def test_sim_config_rejects_bad_grid(t_ms, ts_ms):
     with pytest.raises(ParameterError):
         SimConfig(t_ms, ts_ms)
