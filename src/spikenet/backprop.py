@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
-from .forward import SignalCache, SurrogateConfig, _rho_values, forward
+from .forward import SignalCache, SurrogateConfig, forward
 from .kernels import Kernel, Workspace, convolve_values, correlate_values, workspace
 from .losses import LossSpec, error_count, error_precise, loss_value, output_credit
 from .signals import SampledSignal, SpikeTrain
 from .topology import Network, adjoint_linear, weight_gradient
 
-_RHO_BLOCK = 1 << 14  # samples of rho that delta_layer builds at a time
+_RHO_BLOCK = 1 << 14  # samples of rho built at a time, so none is the size of a signal
 
 
 @dataclass(eq=False)
@@ -78,7 +78,7 @@ def output_error(
     label: int | None = None,
 ) -> SampledSignal:
     """Error signal at the output layer for the configured loss mode."""
-    s_out = cache.output_spikes
+    s_out = cache.spikes[-1]
     if spec.mode == "precise":
         if target is None:
             raise ParameterError("precise loss needs a target spike train")
@@ -88,6 +88,22 @@ def output_error(
         raise ParameterError("count loss needs a label")
     desired = spec.desired_counts(label, s_out.channels)
     return error_count(s_out, desired, spec.interval, net.sim)
+
+
+def _times_rho(x: np.ndarray, u: np.ndarray, theta: float, cfg: SurrogateConfig) -> np.ndarray:
+    """x *= rho(u) in place, rho built in row blocks of _RHO_BLOCK samples; returns x."""
+    channels, n_samples = x.shape
+    rows = max(1, _RHO_BLOCK // n_samples)
+    block = np.empty((min(rows, channels), n_samples))
+    for start in range(0, channels, rows):
+        part = x[start : start + rows]
+        rho = np.subtract(u[start : start + rows], theta, out=block[: len(part)])
+        np.abs(rho, out=rho)
+        rho *= -cfg.beta
+        np.exp(rho, out=rho)
+        rho /= cfg.alpha
+        part *= rho
+    return x
 
 
 def delta_layer(
@@ -109,14 +125,7 @@ def delta_layer(
     if e.values.shape != u.values.shape:
         raise ShapeError(f"error shape {e.values.shape} != potential {u.values.shape}")
     credit = correlate_values(e.values, epsilon, delays, work)
-    # rho in row blocks, so no temporary is the size of the signal
-    channels, n_samples = credit.shape
-    rows = max(1, _RHO_BLOCK // n_samples)
-    block = np.empty((min(rows, channels), n_samples))
-    for start in range(0, channels, rows):
-        part = credit[start : start + rows]
-        part *= _rho_values(u.values[start : start + rows], theta, cfg, block[: len(part)])
-    return SampledSignal._adopt(credit, e.ts_ms)
+    return SampledSignal._adopt(_times_rho(credit, u.values, theta, cfg), e.ts_ms)
 
 
 def delay_gradient(
@@ -171,14 +180,13 @@ def backward(
     errors = [None] * n_t + [e_out]
     deltas = [None] * (n_t + 1)
     with workspace() as work:
-        values = _rho_values(u_out.values, theta, surrogate)
-        values *= output_credit(e_out, spec, epsilon, net.sim, work)
-        delta = SampledSignal._adopt(values, ts)
+        credit = output_credit(e_out, spec, epsilon, net.sim, work)
+        delta = SampledSignal._adopt(_times_rho(credit, u_out.values, theta, surrogate), ts)
         for t in reversed(range(n_t)):
             grads.weights[t] = weight_gradient(
                 net, t, delta, cache.responses[t], grads.weights[t]
             )
-            # a hidden credit lives in the workspace: weight_gradient and
+            # a credit may live in the workspace: weight_gradient and
             # adjoint_linear read it before delay_gradient takes the workspace
             # again, and the adjoint never returns a view of it
             e = adjoint_linear(net, t, delta)

@@ -166,7 +166,8 @@ def cmd_gradcheck(args) -> int:
     e = output_error(net, cache, loss, target=target)
     analytic = backward(net, cache, e, rc.train.surrogate)
     fd = finite_diff_gradients(net, spikes_in, loss, rc.train.surrogate, h=args.h, target=target)
-    worst = 0.0
+    floor = 1e-8  # relative errors are taken against at least this magnitude
+    worst = largest = 0.0
     failed = False
     for t in range(net.n_transitions):
         groups = []
@@ -174,12 +175,17 @@ def cmd_gradcheck(args) -> int:
             groups.append(("weights", analytic.weights[t], fd.weights[t]))
         groups.append(("delays ", analytic.delays[t], fd.delays[t]))
         for name, got, ref in groups:
-            rel = np.abs(got - ref) / np.maximum(np.abs(ref), 1e-8)
+            rel = np.abs(got - ref) / np.maximum(np.abs(ref), floor)
             err = float(rel.max())
             worst = max(worst, err)
+            largest = max(largest, float(np.abs(ref).max()))
             verdict = "PASS" if err <= args.tol else "FAIL"
             failed = failed or err > args.tol
             print(f"transition {t} {name}: max rel err {err:.3e} {verdict}")
+    if largest < floor:
+        why = f"the largest finite difference, {largest:.3e}, is below {floor:g}"
+        print(f"ERROR 1: gradient check compared nothing: {why}", file=sys.stderr)
+        return 1
     if failed:
         print(f"ERROR 1: gradient check failed (worst {worst:.3e} > {args.tol:g})", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the positivity check they share."""
 
 
 class SpikeNetError(Exception):
@@ -31,3 +31,10 @@ class ParseError(SpikeNetError):
 
 class NumericError(SpikeNetError):
     """A computation produced non-finite values."""
+
+
+def require_positive(**values) -> None:
+    """Raise ParameterError naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0.0 < value < float("inf"):
+            raise ParameterError(f"{name} must be positive and finite, got {value!r}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ShapeError, require_positive
 from .kernels import Kernel, convolve_values, workspace
 from .signals import SampledSignal, SpikeTrain, event_bins, spikes_to_signal
 from .topology import Network, apply_linear
@@ -34,24 +34,12 @@ class SurrogateConfig:
     beta: float = 0.5
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ParameterError("surrogate scale and sharpness must be positive")
+        require_positive(alpha=self.alpha, beta=self.beta)
 
     @classmethod
     def for_theta(cls, theta: float, alpha: float = 10.0) -> "SurrogateConfig":
         """Default sharpness: rho decays by e^-5 one threshold away from theta."""
         return cls(alpha=alpha, beta=5.0 / theta)
-
-
-def _rho_values(u: np.ndarray, theta: float, cfg: SurrogateConfig, out=None) -> np.ndarray:
-    """rho of a potential array, built in one buffer: ``out`` if given, else
-    a new writable array."""
-    out = np.subtract(u, theta, out=out)
-    np.abs(out, out=out)
-    out *= -cfg.beta
-    np.exp(out, out=out)
-    out /= cfg.alpha
-    return out
 
 
 def soft_spike(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledSignal:
@@ -87,10 +75,6 @@ class SignalCache:
     events: list
     potentials: list
     responses: list
-
-    @property
-    def output_spikes(self) -> SampledSignal:
-        return self.spikes[-1]
 
 
 def _threshold_bins(u: np.ndarray, nu: np.ndarray, theta: float) -> np.ndarray:

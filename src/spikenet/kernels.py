@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, require_positive
 from .signals import SampledSignal
 
 DEFAULT_CUTOFF = 1e-6  # kernel truncation relative to the peak, unless set
@@ -45,8 +45,7 @@ class NeuronConfig:
     tau_r: float
 
     def __post_init__(self):
-        if min(self.theta, self.tau_s, self.tau_r) <= 0.0:
-            raise ParameterError("theta, tau_s, tau_r must all be positive")
+        require_positive(theta=self.theta, tau_s=self.tau_s, tau_r=self.tau_r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +84,7 @@ class Kernel:
 
 
 def _sample_and_truncate(neuron: NeuronConfig, ts_ms: float, cutoff: float, fn) -> Kernel:
-    if ts_ms <= 0.0:
-        raise ParameterError("ts_ms must be positive")
+    require_positive(ts_ms=ts_ms)
     if not 0.0 < cutoff < 1.0:
         raise ParameterError("cutoff must lie in (0, 1)")
     ceiling = 10.0 * max(neuron.tau_s, neuron.tau_r)

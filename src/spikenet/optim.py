@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backprop import Gradients
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError, require_positive
 from .topology import Network
 
 # the learning rate of each method when none is given
@@ -50,10 +50,13 @@ class OptimizerState:
             )
         if self.learning_rate is None:
             self.learning_rate = _DEFAULT_RATE[self.method]
-        if self.learning_rate < 0:
-            raise ParameterError("learning rate must be nonnegative")
-        if self.delay_lr_scale < 0:
-            raise ParameterError("delay learning-rate scale must be nonnegative")
+        for name, high in (
+            ("learning_rate", np.inf), ("delay_lr_scale", np.inf),
+            ("beta1", 1.0), ("beta2", 1.0), ("gamma", 1.0),
+        ):
+            if not 0.0 <= getattr(self, name) < high:
+                raise ParameterError(f"{name} = {getattr(self, name)!r} outside [0, {high:g})")
+        require_positive(eps_stab=self.eps_stab)
 
     @classmethod
     def sgd(cls, learning_rate: float | None = None, **kw) -> "OptimizerState":

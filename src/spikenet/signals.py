@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     RangeError,
     ShapeError,
+    require_positive,
 )
 
 _EVENT_DTYPE = np.dtype([("neuron", "<u4"), ("time", "<f8"), ("label", "<i4")])
@@ -198,8 +199,7 @@ class SampledSignal:
     ts_ms: float
 
     def __post_init__(self):
-        if self.ts_ms <= 0.0:
-            raise ParameterError("ts_ms must be positive")
+        require_positive(ts_ms=self.ts_ms)
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise ShapeError(f"signal values must be 2-D, got shape {vals.shape}")

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError, ParseError, ShapeError
+from .errors import NumericError, ParameterError, ParseError, ShapeError
 from .kernels import DEFAULT_CUTOFF, Kernel, NeuronConfig, make_epsilon, make_epsilon_dot, make_nu
 from .signals import SampledSignal, SimConfig
 
@@ -297,6 +297,8 @@ def init_network(
     """
     if gain is None:
         gain = 10.0 * neuron.theta
+    elif not np.isfinite(gain):
+        raise ParameterError(f"gain must be finite, got {gain!r}")
     rng = np.random.default_rng(seed)
     params = []
     for t in range(spec.n_transitions):

@@ -109,7 +109,7 @@ def _sample_pass(net: Network, sample, cfg: TrainConfig, with_grads: bool, out=N
         correct = None
     else:
         e = output_error(net, cache, cfg.loss, label=int(label))
-        predicted = classify(cache.output_spikes, cfg.loss.interval, net.sim)
+        predicted = classify(cache.spikes[-1], cfg.loss.interval, net.sim)
         correct = predicted == int(label)
     loss = loss_value(e)
     grads = backward(net, cache, e, cfg.surrogate, spec=cfg.loss, out=out) if with_grads else None

@@ -28,9 +28,9 @@ from spikenet import (
     soft_forward,
     soft_loss,
 )
-from spikenet.backprop import delay_gradient, delta_layer, output_error, weight_gradient
+from spikenet.backprop import _times_rho, delay_gradient, delta_layer, output_error, weight_gradient
 from spikenet.errors import NumericError, ParameterError
-from spikenet.forward import _rho_values, soft_spike
+from spikenet.forward import soft_spike
 from spikenet.losses import error_count, error_precise
 
 
@@ -44,10 +44,13 @@ def test_surrogate_config_for_theta():
     assert cfg.beta == pytest.approx(0.5)
 
 
+def _rho(u, theta, cfg):
+    return _times_rho(np.ones((1, 1)), np.array([[u]]), theta, cfg)[0, 0]
+
+
 def test_rho_landmarks():
     cfg = SurrogateConfig(alpha=10.0, beta=0.5)
-    theta = 10.0
-    at = lambda u: _rho_values(np.array([[u]]), theta, cfg)[0, 0]
+    at = lambda u: _rho(u, 10.0, cfg)
     assert at(10.0) == pytest.approx(1.0 / 10.0, rel=1e-15)
     assert at(12.0) == pytest.approx(np.exp(-1.0) / 10.0, rel=1e-14)
     assert at(8.0) == pytest.approx(at(12.0), rel=1e-14)
@@ -76,7 +79,7 @@ def test_soft_spike_derivative_is_rho():
     for u in (-2.0, 7.0, 10.0, 13.0, 20.0):
         left = soft_spike(_sig([[u - h]]), 10.0, cfg).values[0, 0]
         right = soft_spike(_sig([[u + h]]), 10.0, cfg).values[0, 0]
-        want = _rho_values(np.array([[u]]), 10.0, cfg)[0, 0]
+        want = _rho(u, 10.0, cfg)
         assert (right - left) / (2 * h) == pytest.approx(want, rel=1e-4, abs=1e-9)
 
 
@@ -106,7 +109,7 @@ def test_output_error_dispatches_precise():
     cache = forward(net, _poisson_in(net, 120.0, 0))
     target = poisson_spike_train(net.layer_sizes[-1], 60.0, net.sim, 1)
     got = output_error(net, cache, LossSpec("precise"), target=target)
-    want = error_precise(cache.output_spikes, target, net.epsilon, net.sim)
+    want = error_precise(cache.spikes[-1], target, net.epsilon, net.sim)
     np.testing.assert_array_equal(got.values, want.values)
 
 
@@ -115,7 +118,7 @@ def test_output_error_dispatches_count():
     cache = forward(net, _poisson_in(net, 120.0, 0))
     spec = LossSpec("count", 6.0, 2.0, (0.0, 25.0))
     got = output_error(net, cache, spec, label=1)
-    want = error_count(cache.output_spikes, spec.desired_counts(1, 2), (0.0, 25.0), net.sim)
+    want = error_count(cache.spikes[-1], spec.desired_counts(1, 2), (0.0, 25.0), net.sim)
     np.testing.assert_array_equal(got.values, want.values)
 
 

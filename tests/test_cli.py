@@ -378,3 +378,52 @@ def test_simulate_rejects_an_infinite_window(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err == "ERROR 1: t_ms=inf, ts_ms=1.0 is not a finite grid\n"
+
+
+def test_simulate_rejects_a_non_finite_time_constant(tmp_path, capsys):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG.replace("tau_s = 3", "tau_s = nan"))
+    (tmp_path / "in.csv").write_text("neuron,time_ms,label\n0,2.5,0\n")
+    code = main(["simulate", "--config", str(cfg), "--input", str(tmp_path / "in.csv"),
+                 "--out", str(tmp_path / "sim")])
+    assert code == 1
+    assert capsys.readouterr().err == "ERROR 1: tau_s must be positive and finite, got nan\n"
+
+
+def test_gradcheck_fails_when_it_compared_nothing(tmp_path, capsys):
+    """At beta 60 the surrogate is so narrow that every finite difference
+    is 0.0, and so every relative error sits under its floor."""
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG.replace("beta = 0.5", "beta = 60"))
+    assert main(["gradcheck", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "gradient check passed" not in captured.out
+    assert captured.err == (
+        "ERROR 1: gradient check compared nothing: the largest finite difference, "
+        "0.000e+00, is below 1e-08\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("train", "no 'inputs' key in [data]; nothing to train on"),
+        ("eval", "no eval_inputs or inputs in [data]; nothing to evaluate"),
+    ],
+)
+def test_commands_without_data_exit_1(tmp_path, capsys, command, message):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    save_checkpoint(load_config(cfg).build_network(), None, tmp_path / "c.slck")
+    extra = ["--checkpoint", str(tmp_path / "c.slck")] if command == "eval" else []
+    assert main([command, "--config", str(cfg), *extra]) == 1
+    assert capsys.readouterr().err == f"ERROR 1: {message}\n"
+
+
+def test_count_mode_report_holds_the_final_accuracy(tmp_path, capsys):
+    assert main(_count_run(tmp_path)) == 0
+    row = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[-1].split(",")
+    assert row[:2] == ["1", "train"]
+    report = (tmp_path / "run" / "report.txt").read_text().splitlines()
+    assert report[-2:] == [f"final train loss: {row[2]}", f"final train accuracy: {row[3]}"]
+    assert f"accuracy {float(row[3]):.4f}" in capsys.readouterr().out

@@ -123,7 +123,7 @@ def test_forward_one_input_spike_drives_one_neuron():
     crossing = next(
         n for n in range(30) if 25.0 * eps.evaluate((n - 2) * 1.0) >= 10.0
     )
-    out = cache.output_spikes.values[0]
+    out = cache.spikes[-1].values[0]
     assert out[crossing] == 1.0
     assert np.all(out[:crossing] == 0.0)
 
@@ -138,7 +138,7 @@ def test_forward_zero_weights_stay_silent():
     )
     cache = forward(net, SpikeTrain(4, ((0, 1.5), (3, 4.5))))
     assert np.all(cache.spikes[1].values == 0.0)
-    assert np.all(cache.output_spikes.values == 0.0)
+    assert np.all(cache.spikes[-1].values == 0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow and inf * 0
@@ -181,7 +181,7 @@ def test_forward_cache_shapes():
     assert cache.potentials[0] is None
     assert cache.spikes[0].values.shape == (250, 50)
     assert cache.spikes[1].values.shape == (25, 50)
-    assert cache.output_spikes.values.shape == (1, 50)
+    assert cache.spikes[-1].values.shape == (1, 50)
 
 
 def test_forward_spike_values_are_binary():
