@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError, require_positive
 from .forward import SignalCache, SurrogateConfig, forward
 from .kernels import Kernel, Workspace, convolve_values, correlate_values, workspace
 from .losses import LossSpec, error_count, error_precise, loss_value, output_credit
@@ -146,7 +146,7 @@ def delay_gradient(
     """
     adot = convolve_values(s.values, epsilon_dot, delays, events, work, keep=False)
     adot *= e.values
-    out = np.sum(adot, axis=1, out=out)
+    out = adot.sum(axis=1, out=out)
     out *= -epsilon_dot.ts_ms
     return out
 
@@ -201,7 +201,7 @@ def backward(
                 delta = delta_layer(e, u, epsilon, delays, theta, surrogate, work)
             del e  # spent: freed before the next adjoint builds its own
     for t, (w, d) in enumerate(zip(grads.weights, grads.delays)):
-        if (w is not None and not np.all(np.isfinite(w))) or not np.all(np.isfinite(d)):
+        if (w is not None and not np.isfinite(w).all()) or not np.isfinite(d).all():
             raise NumericError(f"non-finite gradient in transition {t}")
     if want_trace:
         return grads, BackpropTrace(errors, deltas)
@@ -241,6 +241,7 @@ def finite_diff_gradients(
     Probes mutate parameters in place and restore them, so delays may be
     evaluated slightly below zero during a probe; the kernels accept that.
     """
+    require_positive(h=h)
     kwargs = dict(spec=spec, surrogate=surrogate, target=target, label=label)
 
     def probe(array: np.ndarray, idx) -> float:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .backprop import backward, finite_diff_gradients, output_error
-from .errors import ConfigError, SpikeNetError
+from .errors import ConfigError, SpikeNetError, require_positive
 from .forward import forward
 from .losses import LossSpec
 from .runconfig import RunConfig, load_config
@@ -151,6 +151,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    require_positive(h=args.h, tol=args.tol)
     rc = load_config(args.config)
     seed = rc.train.seed if args.seed is None else args.seed
     net = rc.build_network(seed)

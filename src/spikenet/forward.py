@@ -104,12 +104,15 @@ def _threshold_walk(u: np.ndarray, nu: np.ndarray, theta: float, candidates) -> 
     """
     n, taps = u.shape[1], len(nu)
     flat = u.reshape(-1)
+    read = memoryview(flat)  # items are Python floats, cheaper than numpy scalars
+    # a spike's refraction ends taps samples on or at its row's end
+    ends = np.minimum(candidates - candidates % n + n, candidates + taps)
     fired, until = [], 0  # refraction of the last spike ends at flat index until
-    for i in candidates.tolist():
-        if i >= until or flat[i] >= theta:
-            until = min(i + taps, i - i % n + n)
-            row = flat[i:until]  # np.add into the view; += would copy it back onto itself
-            np.add(row, nu if until - i == taps else nu[: until - i], out=row)
+    for i, end in zip(candidates.tolist(), ends.tolist()):
+        if i >= until or read[i] >= theta:
+            until = end
+            row = flat[i:end]  # adds in place; flat[i:end] += would copy back onto itself
+            row += nu[: end - i]
             fired.append(i)
     events = np.array(fired, dtype=np.intp)
     return events[np.argsort(events % n, kind="stable")]
@@ -141,7 +144,7 @@ def simulate_layer(u_ff: SampledSignal, nu: Kernel, theta: float) -> tuple:
     channels, n = u_ff.channels, u_ff.n_samples
     ts = u_ff.ts_ms
     u = u_ff.values.copy()
-    candidates = np.flatnonzero(u >= theta) if u.size <= _WALK_SAMPLES else None
+    candidates = (u >= theta).reshape(-1).nonzero()[0] if u.size <= _WALK_SAMPLES else None
     if candidates is not None and len(candidates) < _WALK_PER_BIN * n:
         events = _threshold_walk(u, nu.samples, theta, candidates)
     else:
@@ -172,7 +175,9 @@ def forward(
     # one event per nonzero bin, as spikes_to_signal adds events binned
     # together; sort and compare is ten times faster here than np.unique
     events = np.sort(event_bins(spikes, net.sim))
-    events = events[np.diff(events, prepend=-1) != 0]
+    unique = np.ones(events.size, bool)
+    np.not_equal(events[1:], events[:-1], out=unique[1:])
+    events = events[unique]
     events.flags.writeable = False
     cache = SignalCache(spikes=[s], events=[events], potentials=[None], responses=[])
     epsilon, nu, theta = net.epsilon, net.nu, net.neuron.theta

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ParameterError, require_positive
 from .signals import SampledSignal
@@ -76,7 +75,8 @@ class Kernel:
         t = np.asarray(t, dtype=float)
         if out is None:
             out, scratch, inside = np.empty(t.shape), np.empty(t.shape), np.empty(t.shape, bool)
-        x = np.clip(t, 0.0, self.support_end, out=scratch)
+        x = np.maximum(t, 0.0, out=scratch)
+        np.minimum(x, self.support_end, out=x)
         np.not_equal(x, t, out=inside)  # outside the support, or NaN
         self._fn(x, out)
         np.copyto(out, 0.0, where=inside)
@@ -170,13 +170,11 @@ class Workspace:
         """Arrays of the given (shape, dtype) specs, valid until the next take."""
         # each array starts on a 64-byte boundary
         sizes = [-(-math.prod(s) * np.dtype(d).itemsize // 64) * 64 for s, d in specs]
-        total = sum(sizes)
-        if self.buffer.size < total:
-            self.buffer = np.empty(total, dtype=np.uint8)
+        if self.buffer.size < sum(sizes):
+            self.buffer = np.empty(sum(sizes), dtype=np.uint8)
         arrays, start = [], 0
         for (shape, dtype), size in zip(specs, sizes):
-            flat = self.buffer[start : start + size].view(dtype)
-            arrays.append(flat[: math.prod(shape)].reshape(shape))
+            arrays.append(np.ndarray(shape, dtype, self.buffer, start))
             start += size
         return arrays
 
@@ -193,7 +191,7 @@ class Workspace:
             refs = weakref.ref(kernel), weakref.ref(delays)
             entry = (*refs, np.empty(len(delays)), np.empty((len(delays), taps)))
             self._tables[key] = entry
-        elif np.array_equal(entry[2], delays):
+        elif (entry[2] == delays).all():
             return entry[3]
         shape = entry[3].shape
         t, scratch, inside = self.take((shape, float), (shape, float), (shape, bool))
@@ -243,7 +241,7 @@ def _window_sum(values, table: np.ndarray, work: Workspace, keep: bool, lead: bo
         edge[:, : taps - 1] = values[:, inner:]
         body, rim = out[:, :inner], out[:, inner:]
     for x, y in ((values, body), (edge, rim)):
-        windows = as_strided(x, (channels, y.shape[1], taps), x.strides + x.strides[1:])
+        windows = np.ndarray((channels, y.shape[1], taps), x.dtype, x, 0, x.strides + x.strides[1:])
         np.einsum("cnj,cj->cn", windows, taps_copy, out=y)
     return out
 
@@ -284,7 +282,7 @@ def convolve_values(
         # tap j of event (c, b) lands on flat sample c * n_samples + b + j;
         # taps past the row's last bin go to one dump bin past the signal
         rows = events // n_samples
-        np.take(kd, rows, axis=0, out=weights, mode="clip")
+        kd.take(rows, axis=0, out=weights, mode="clip")
         weights *= values.reshape(-1)[events][:, None]
         np.add(events[:, None], np.arange(taps), out=index)
         np.putmask(index, index >= (rows[:, None] + 1) * n_samples, values.size)

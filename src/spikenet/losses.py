@@ -98,7 +98,7 @@ def error_count(
 
 def loss_value(e: SampledSignal) -> float:
     """E = 1/2 * integral of the squared error over the window."""
-    return 0.5 * e.ts_ms * float(np.sum(e.values * e.values))
+    return 0.5 * e.ts_ms * float((e.values * e.values).sum())
 
 
 def output_credit(

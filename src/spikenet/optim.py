@@ -152,9 +152,9 @@ def step(state: OptimizerState, net: Network, grads: Gradients) -> None:
         _update(state, f"d{t}", params.delays, grads.delays[t], delay_lr)
     clamp_delays(net)
     for t, params in enumerate(net.params):
-        if params.weights is not None and not np.all(np.isfinite(params.weights)):
+        if params.weights is not None and not np.isfinite(params.weights).all():
             raise NumericError(f"non-finite weights after update in transition {t}")
-        if not np.all(np.isfinite(params.delays)):
+        if not np.isfinite(params.delays).all():
             raise NumericError(f"non-finite delays after update in transition {t}")
 
 

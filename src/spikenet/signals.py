@@ -203,7 +203,7 @@ class SampledSignal:
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
         if vals.ndim != 2:
             raise ShapeError(f"signal values must be 2-D, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ParameterError("signal contains non-finite values")
         if vals is self.values:
             vals = vals.copy()
@@ -238,8 +238,8 @@ def poisson_spike_train(
     """
     if channels < 1:
         raise ParameterError("channels must be >= 1")
-    if rate_hz < 0.0:
-        raise ParameterError("rate_hz must be >= 0")
+    if not 0.0 <= rate_hz < np.inf:
+        raise ParameterError(f"rate_hz must be >= 0 and finite, got {rate_hz!r}")
     p = rate_hz * config.ts_ms * 1e-3
     if p > 1.0:
         raise ParameterError(

@@ -361,7 +361,7 @@ def apply_linear(net: Network, t: int, a: SampledSignal) -> SampledSignal:
         x = _as_spatial(a.values, src)
         x = x.reshape(src.channels, dst.height, b, dst.width, b, -1)
         out = x.sum(axis=(2, 4)).reshape(dst.neurons, -1)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         c, n = np.argwhere(~np.isfinite(out.reshape(dst.neurons, -1)))[0]
         raise NumericError(
             f"non-finite potential in transition {t} at neuron {int(c)}, bin {int(n)}"

@@ -119,6 +119,17 @@ def test_gen_poisson_count_makes_directory(tmp_path):
     assert a != b
 
 
+def test_gen_poisson_rejects_a_nan_rate(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    argv = ["gen-poisson", "--channels", "3", "--rate", "nan", "--t-ms", "20",
+            "--ts-ms", "1", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "ERROR 1: rate_hz must be >= 0 and finite, got nan\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_train_writes_metrics_checkpoint_report(tmp_path, capsys):
     _write_dataset(tmp_path)
     cfg = _train_cfg(tmp_path, epochs=2)
@@ -310,6 +321,24 @@ def test_gradcheck_error_grows_quadratically_with_h(tmp_path, capsys):
 
     coarse, fine = worst(1e-2), worst(1e-3)
     assert 20.0 < coarse / fine < 500.0
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--h", "0", "h must be positive and finite, got 0.0"),
+        ("--h", "nan", "h must be positive and finite, got nan"),
+        ("--tol", "nan", "tol must be positive and finite, got nan"),
+        ("--tol", "-1", "tol must be positive and finite, got -1.0"),
+    ],
+)
+def test_gradcheck_rejects_a_bad_step_or_tolerance(tmp_path, capsys, flag, value, message):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    assert main(["gradcheck", "--config", str(cfg), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ERROR 1: {message}\n"
+    assert captured.out == ""
 
 
 def test_simulate_reads_input_with_the_network_input_width(tmp_path):

@@ -170,6 +170,26 @@ def test_forward_flags_a_non_finite_delay_with_its_neuron(arch, t, bad, soft):
         forward(net, train, SurrogateConfig() if soft else None)
 
 
+def test_forward_on_a_silent_input_has_no_input_events():
+    net = init_network(
+        parse_architecture("4-3-2"), NeuronConfig(10.0, 2.0, 1.0), SimConfig(20.0, 0.5), seed=1
+    )
+    cache = forward(net, SpikeTrain(4, ()))
+    assert cache.events[0].size == 0
+    assert not cache.spikes[0].values.any()
+
+
+def test_forward_holds_a_bin_with_two_input_events_once():
+    sim = SimConfig(20.0, 0.5)
+    net = init_network(parse_architecture("4-3-2"), NeuronConfig(10.0, 2.0, 1.0), sim, seed=1)
+    # neuron 2 fires twice in bin 8 (4.0-4.5 ms); neuron 0 once in bin 3
+    cache = forward(net, SpikeTrain(4, ((2, 4.1), (2, 4.4), (0, 1.7))))
+    n = sim.n_samples
+    assert cache.events[0].tolist() == [0 * n + 3, 2 * n + 8]
+    assert cache.spikes[0].values[2, 8] == 2.0 / sim.ts_ms
+    assert cache.spikes[0].values[0, 3] == 1.0 / sim.ts_ms
+
+
 def test_forward_cache_shapes():
     net = init_network(
         parse_architecture("250-25-1"), NeuronConfig(10.0, 2.0, 1.0), SimConfig(50.0, 1.0)

@@ -79,6 +79,14 @@ def test_evaluate_is_zero_outside_support():
     assert np.all(eps.evaluate(np.array([-5.0, 1e9])) == 0.0)
 
 
+@pytest.mark.parametrize("make", [make_epsilon, make_nu, make_epsilon_dot])
+def test_evaluate_is_zero_at_non_finite_times(make):
+    kernel = make(*_config())
+    times = [np.nan, np.inf, -np.inf]
+    assert kernel.evaluate(np.array(times)).tolist() == [0.0, 0.0, 0.0]
+    assert [float(kernel.evaluate(t)) for t in times] == [0.0, 0.0, 0.0]
+
+
 def test_evaluate_at_fractional_times():
     tau_s = 2.0
     eps = make_epsilon(*_config(tau_s=tau_s))

@@ -33,6 +33,7 @@ from spikenet import (
     error_count,
     error_precise,
     evaluate,
+    finite_diff_gradients,
     forward,
     init_network,
     load_checkpoint,
@@ -60,8 +61,11 @@ def _net():
     return init_network(parse_architecture("3-4-2"), _NEURON, _SIM)
 
 
+_TRAIN = poisson_spike_train(3, 150.0, _SIM, 0)
+
+
 def _cache(net):
-    return forward(net, poisson_spike_train(3, 150.0, _SIM, 0))
+    return forward(net, _TRAIN)
 
 
 def _zeros(channels, bins=25):
@@ -91,6 +95,14 @@ def _raises(tmp_path, build, error, message):
      ShapeError, r"error shape \(2, 25\) != potential \(4, 25\)"),
     ("backward-output-shape", lambda _: backward(_net(), _cache(_net()), _zeros(3), _SURROGATE),
      ShapeError, r"output error shape \(3, 25\) != potential \(2, 25\)"),
+    ("finite-difference-zero-step",
+     lambda _: finite_diff_gradients(_net(), _TRAIN, LossSpec("precise"), _SURROGATE, h=0.0,
+                                     target=SpikeTrain(2)),
+     ParameterError, "h must be positive and finite, got 0.0"),
+    ("finite-difference-nan-step",
+     lambda _: finite_diff_gradients(_net(), _TRAIN, LossSpec("precise"), _SURROGATE, h=np.nan,
+                                     target=SpikeTrain(2)),
+     ParameterError, "h must be positive and finite, got nan"),
 )
 def test_backprop_errors(tmp_path, build, error, message):
     _raises(tmp_path, build, error, message)
@@ -210,6 +222,8 @@ def _events_file(tmp_path, name, data):
      ParameterError, "channels must be >= 1"),
     ("poisson-negative-rate", lambda _: poisson_spike_train(2, -1.0, _SIM, 0),
      ParameterError, "rate_hz must be >= 0"),
+    ("poisson-nan-rate", lambda _: poisson_spike_train(2, np.nan, _SIM, 0),
+     ParameterError, "rate_hz must be >= 0 and finite, got nan"),
     ("csv-without-header", lambda p: _events_file(p, "e.csv", "0,1.5,0\n"),
      ParseError, "e.csv: line 1: expected header 'neuron,time_ms,label'"),
     ("slyr-truncated-header", lambda p: _events_file(p, "e.slyr", b"SLYR\x01"),
