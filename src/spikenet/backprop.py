@@ -16,16 +16,17 @@ pass computes the exact gradient of the precise or count loss, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError, require_positive
 from .forward import SignalCache, SurrogateConfig, forward
-from .kernels import Kernel, Workspace, convolve_values, correlate_values, workspace
+from .kernels import Kernel, Workspace, convolve_values, correlate_values, correlate_view, workspace
 from .losses import LossSpec, error_count, error_precise, loss_value, output_credit
 from .signals import SampledSignal, SpikeTrain
-from .topology import Network, adjoint_linear, weight_gradient
+from .topology import Network, adjoint_linear, block_view, weight_gradient
 
 _RHO_BLOCK = 1 << 14  # samples of rho built at a time, so none is the size of a signal
 
@@ -120,11 +121,17 @@ def delta_layer(
     The correlation pulls error from later bins back to the bins whose
     spikes caused it, shifted by the layer's own outgoing delays.  The
     credit is built in place in the correlation, so it lives in ``work``
-    when that is given, valid until its next use.
+    when that is given, valid until its next use.  The values of ``e`` may
+    also be a frozen aggregation's pooled error spread over its blocks
+    (:func:`spikenet.topology.block_view`), which is read in place.
     """
-    if e.values.shape != u.values.shape:
-        raise ShapeError(f"error shape {e.values.shape} != potential {u.values.shape}")
-    credit = correlate_values(e.values, epsilon, delays, work)
+    values = e.values
+    if (math.prod(values.shape[:-1]), values.shape[-1]) != u.values.shape:
+        raise ShapeError(f"error shape {values.shape} != potential {u.values.shape}")
+    if values.ndim == 2:
+        credit = correlate_values(values, epsilon, delays, work)
+    else:
+        credit = correlate_view(values, epsilon, delays, work)
     return SampledSignal._adopt(_times_rho(credit, u.values, theta, cfg), e.ts_ms)
 
 
@@ -142,10 +149,12 @@ def delay_gradient(
     Moving a delay later shifts the response right; the sign makes the
     gradient point toward increasing loss as delays grow.  ``events`` are
     the spike events of s and ``work`` the workspace, as in
-    :func:`convolve_values`; ``out`` receives the result.
+    :func:`convolve_values`; ``out`` receives the result.  The values of
+    ``e`` may be a spread pooled error, as in :func:`delta_layer`.
     """
     adot = convolve_values(s.values, epsilon_dot, delays, events, work, keep=False)
-    adot *= e.values
+    product = adot.reshape(e.values.shape)  # a view: adot is C-contiguous
+    product *= e.values
     out = adot.sum(axis=1, out=out)
     out *= -epsilon_dot.ts_ms
     return out
@@ -186,12 +195,17 @@ def backward(
             grads.weights[t] = weight_gradient(
                 net, t, delta, cache.responses[t], grads.weights[t]
             )
-            # a credit may live in the workspace: weight_gradient and
-            # adjoint_linear read it before delay_gradient takes the workspace
-            # again, and the adjoint never returns a view of it
-            e = adjoint_linear(net, t, delta)
+            # a credit may live in the workspace: weight_gradient and the
+            # error read it before delay_gradient takes the workspace again,
+            # so the error owns its memory.  A frozen aggregation's stays
+            # pooled, one copy of the credit spread over its blocks by a view.
+            if net.spec.layers[t + 1].kind == "aggregate":
+                e = SampledSignal._adopt(block_view(net, t, delta.values.copy()), ts)
+            else:
+                e = adjoint_linear(net, t, delta)
             if want_trace:  # else each layer's signals are freed as soon as used
-                errors[t], deltas[t + 1] = e, SampledSignal._adopt(delta.values.copy(), ts)
+                errors[t] = e if e.values.ndim == 2 else adjoint_linear(net, t, delta)
+                deltas[t + 1] = SampledSignal._adopt(delta.values.copy(), ts)
             delays = net.params[t].delays
             grads.delays[t] = delay_gradient(
                 e, cache.spikes[t], eps_dot, delays, cache.events[t], grads.delays[t], work

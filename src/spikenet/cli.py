@@ -198,11 +198,15 @@ def cmd_gen_poisson(args) -> int:
     config = SimConfig(t_ms=args.t_ms, ts_ms=args.ts_ms)
     out = Path(args.out)
     single_file = args.count == 1 and out.suffix in (".csv", ".slyr")
+    # every train is drawn, and so validated, before anything is written
+    trains = [
+        poisson_spike_train(args.channels, args.rate, config, seed=[args.seed, i])
+        for i in range(args.count)
+    ]
     if not single_file:
         out.mkdir(parents=True, exist_ok=True)
     written = []
-    for i in range(args.count):
-        train = poisson_spike_train(args.channels, args.rate, config, seed=[args.seed, i])
+    for i, train in enumerate(trains):
         path = out if single_file else out / f"poisson{i:04d}.csv"
         write_events(path, SpikeTrainSet(train.neuron_count, (train,)))
         written.append(path)

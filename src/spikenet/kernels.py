@@ -217,16 +217,27 @@ def workspace():
     _IDLE.append(work)  # after an error the workspace is dropped
 
 
+def _windows(x: np.ndarray, width: int, taps: int) -> np.ndarray:
+    """The (..., width, taps) windows x[..., n : n + taps], n < width, read in place."""
+    shape, strides = x.shape[:-1] + (width, taps), x.strides + x.strides[-1:]
+    if x.ndim == 2:  # C-contiguous here, where a buffer view costs a fifth of as_strided
+        return np.ndarray(shape, x.dtype, x, 0, strides)
+    return np.lib.stride_tricks.as_strided(x, shape, strides, writeable=False)
+
+
 def _window_sum(values, table: np.ndarray, work: Workspace, keep: bool, lead: bool):
     """out[c, n] = sum_j table[c, j] * padded[c, n + j], where ``padded`` is
     ``values`` with taps - 1 zeros before it (``lead``) or after it.
 
     Only the taps - 1 outputs whose windows reach into the zeros read a
     padded copy of 2 * (taps - 1) samples per row; the rest read ``values``
-    in place.  The result lives in ``work`` unless ``keep``.
+    in place.  ``values`` is (channels, n_samples), or a (..., n_samples)
+    view whose leading axes flatten in C order to the channels, such as a
+    pooled error spread over its blocks with stride 0: the work arrays
+    then take the view's axes, so it is never materialized.  The
+    (channels, n_samples) result lives in ``work`` unless ``keep``.
     """
-    values = np.ascontiguousarray(values)
-    (channels, n_samples), taps = values.shape, table.shape[1]
+    (channels, taps), n_samples = table.shape, values.shape[-1]
     inner = n_samples - taps + 1  # outputs whose windows lie inside values
     shapes = [(channels, taps), (channels, 2 * taps - 2)]
     shapes += [] if keep else [(channels, n_samples)]
@@ -234,15 +245,19 @@ def _window_sum(values, table: np.ndarray, work: Workspace, keep: bool, lead: bo
     taps_copy[...] = table  # contiguous: a reversed view makes einsum 1.5x slower
     out = out[0] if out else np.empty((channels, n_samples))
     edge.fill(0.0)
-    if lead:
-        edge[:, taps - 1 :] = values[:, : taps - 1]
-        body, rim = out[:, taps - 1 :], out[:, : taps - 1]
+    if values.ndim == 2:
+        values = np.ascontiguousarray(values)
+        pad, full, kd = edge, out, taps_copy
     else:
-        edge[:, : taps - 1] = values[:, inner:]
-        body, rim = out[:, :inner], out[:, inner:]
-    for x, y in ((values, body), (edge, rim)):
-        windows = np.ndarray((channels, y.shape[1], taps), x.dtype, x, 0, x.strides + x.strides[1:])
-        np.einsum("cnj,cj->cn", windows, taps_copy, out=y)
+        pad, full, kd = (a.reshape(values.shape[:-1] + (-1,)) for a in (edge, out, taps_copy))
+    if lead:
+        pad[..., taps - 1 :] = values[..., : taps - 1]
+        body, rim = full[..., taps - 1 :], out[:, : taps - 1]
+    else:
+        pad[..., : taps - 1] = values[..., inner:]
+        body, rim = full[..., :inner], out[:, inner:]
+    np.einsum("...nj,...j->...n", _windows(values, inner, taps), kd, out=body)
+    np.einsum("cnj,cj->cn", _windows(edge, taps - 1, taps), taps_copy, out=rim)
     return out
 
 
@@ -303,11 +318,18 @@ def correlate_values(values, kernel: Kernel, delays, work=None) -> np.ndarray:
 
     The result lives in ``work``, a :class:`Workspace` as in
     :func:`convolve_values`, valid until its next use."""
-    channels, n_samples = values.shape
-    delays = _delay_vector(delays, channels)
+    return correlate_view(values, kernel, _delay_vector(delays, len(values)), work)
+
+
+def correlate_view(view, kernel: Kernel, delays: np.ndarray, work=None) -> np.ndarray:
+    """:func:`correlate_values` of a (..., n_samples) view whose leading axes
+    flatten in C order to the channels, read in place: a pooled error spread
+    over its blocks is correlated without being materialized.  ``delays``
+    is the (channels,) delay vector; the (channels, n_samples) result lives
+    in ``work``."""
     work = Workspace() if work is None else work
-    kd = work.delayed_taps(kernel, delays, _taps(kernel, delays, n_samples))
-    out = _window_sum(values, kd, work, False, False)
+    kd = work.delayed_taps(kernel, delays, _taps(kernel, delays, view.shape[-1]))
+    out = _window_sum(view, kd, work, False, False)
     out *= kernel.ts_ms
     return out
 

@@ -312,10 +312,6 @@ def init_network(
     return Network(spec, params, neuron, sim, cutoff)
 
 
-def _as_spatial(values: np.ndarray, shape: _Shape) -> np.ndarray:
-    return values.reshape(shape.channels, shape.height, shape.width, -1)
-
-
 def _conv_rows(x: np.ndarray, k: int, out_w: int):
     """Walk the output rows of a valid k x k convolution over x.
 
@@ -358,8 +354,7 @@ def apply_linear(net: Network, t: int, a: SampledSignal) -> SampledSignal:
         out = rows.reshape(dst.neurons, -1)
     else:  # aggregate
         b = net.spec.layers[t + 1].block_size
-        x = _as_spatial(a.values, src)
-        x = x.reshape(src.channels, dst.height, b, dst.width, b, -1)
+        x = a.values.reshape(src.channels, dst.height, b, dst.width, b, -1)
         out = x.sum(axis=(2, 4)).reshape(dst.neurons, -1)
     if not np.isfinite(out).all():
         c, n = np.argwhere(~np.isfinite(out.reshape(dst.neurons, -1)))[0]
@@ -396,13 +391,23 @@ def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
                 for q in range(k):
                     back[:, i + p, cols[q]] += block[:, p, q]
         out = back.reshape(src.neurons, -1)
-    else:  # aggregate: broadcast each block value back to its inputs
-        b = net.spec.layers[t + 1].block_size
-        d = _as_spatial(delta.values, dst)[:, :, None, :, None]
+    else:  # aggregate: each block value goes back to its inputs
+        spread = block_view(net, t, delta.values)
         # a new array even for 1x1 blocks, where a reshape would be a view
         out = np.empty((src.neurons, delta.n_samples))
-        out.reshape(dst.channels, dst.height, b, dst.width, b, -1)[...] = d
+        out.reshape(spread.shape)[...] = spread
     return SampledSignal._adopt(out, delta.ts_ms)
+
+
+def block_view(net: Network, t: int, pooled: np.ndarray) -> np.ndarray:
+    """The (C, H/b, b, W/b, b, bins) read-only view that repeats each row of
+    ``pooled``, (C*H/b*W/b, bins) values of aggregation t's target, over
+    its b x b source block with stride 0.  Its leading axes flatten in C
+    order to the source's neurons: :func:`adjoint_linear` materializes it."""
+    dst = net.spec.shapes[t + 1]
+    b = net.spec.layers[t + 1].block_size
+    d = pooled.reshape(dst.channels, dst.height, 1, dst.width, 1, -1)
+    return np.broadcast_to(d, (dst.channels, dst.height, b, dst.width, b, d.shape[-1]))
 
 
 def weight_gradient(

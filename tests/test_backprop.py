@@ -19,6 +19,7 @@ from spikenet import (
     SimConfig,
     SpikeTrain,
     SurrogateConfig,
+    adjoint_linear,
     backward,
     finite_diff_gradients,
     forward,
@@ -31,7 +32,7 @@ from spikenet import (
 from spikenet.backprop import _times_rho, delay_gradient, delta_layer, output_error, weight_gradient
 from spikenet.errors import NumericError, ParameterError
 from spikenet.forward import soft_spike
-from spikenet.losses import error_count, error_precise
+from spikenet.losses import error_count, error_precise, output_credit
 
 
 def _sig(values, ts=1.0):
@@ -244,8 +245,6 @@ def _reference_backward(net, cache, e_out, surrogate):
                         grad[i, j] = ts * np.sum(delta[i] * a[j])
             weight_grads[t] = grad
         # error at the source layer through the exact adjoint
-        from spikenet import adjoint_linear
-
         e = adjoint_linear(net, t, _sig(delta, ts)).values
         s = cache.spikes[t].values
         d_grad = np.zeros(s.shape[0])
@@ -437,7 +436,7 @@ def test_count_mode_backward_runs_on_hard_cache():
     cache = forward(net, _poisson_in(net, 200.0, 8))
     spec = LossSpec("count", 6.0, 2.0, (0.0, 25.0))
     e_out = output_error(net, cache, spec, label=0)
-    grads = backward(net, cache, e_out, SurrogateConfig(10.0, 0.05))
+    grads = backward(net, cache, e_out, SurrogateConfig(10.0, 0.05), spec=spec)
     for t in range(net.n_transitions):
         assert np.all(np.isfinite(grads.weights[t]))
         assert np.all(np.isfinite(grads.delays[t]))
@@ -461,7 +460,7 @@ def test_forward_caches_and_backprop_traces_are_read_only(arch):
     spec = LossSpec("count", 6.0, 2.0, (0.0, 25.0))
     for cache in (forward(net, x), soft_forward(net, x, surrogate)):
         e_out = output_error(net, cache, spec, label=0)
-        _, trace = backward(net, cache, e_out, surrogate, want_trace=True)
+        _, trace = backward(net, cache, e_out, surrogate, want_trace=True, spec=spec)
         signals = cache.spikes + cache.potentials + cache.responses + trace.errors + trace.deltas
         arrays = [s.values for s in signals if s is not None]
         assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
@@ -471,3 +470,56 @@ def test_forward_caches_and_backprop_traces_are_read_only(arch):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+
+
+def _materialized_backward(net, cache, e_out, surrogate, spec):
+    """Weight and delay gradients and errors of backward's chain, with every
+    error materialized by adjoint_linear before delta_layer and
+    delay_gradient read it."""
+    theta, n_t = net.neuron.theta, net.n_transitions
+    credit = np.array(output_credit(e_out, spec, net.epsilon, net.sim))
+    rho_credit = _times_rho(credit, cache.potentials[n_t].values, theta, surrogate)
+    delta = SampledSignal._adopt(rho_credit, net.sim.ts_ms)
+    weights, delays, errors = [None] * n_t, [None] * n_t, [None] * n_t
+    for t in reversed(range(n_t)):
+        weights[t] = weight_gradient(net, t, delta, cache.responses[t])
+        errors[t] = adjoint_linear(net, t, delta)
+        d = net.params[t].delays
+        delays[t] = delay_gradient(errors[t], cache.spikes[t], net.epsilon_dot, d, cache.events[t])
+        if t > 0:
+            delta = delta_layer(errors[t], cache.potentials[t], net.epsilon, d, theta, surrogate)
+    return weights, delays, errors
+
+
+# 1x1, 2x2 and 3x3 blocks, one of them on the input
+@pytest.mark.parametrize("arch", ["5x5x2-3c2-1a-3", "6x6x2-2c3-2a-3", "7x7x2-2c2-3a-3", "6x6x2-3a-2c2-3"])
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("mode", ["precise", "count"])
+def test_pooled_aggregation_errors_give_the_materialized_gradients(arch, soft, mode):
+    net = init_network(
+        parse_architecture(arch), NeuronConfig(5.0, 2.0, 1.0), SimConfig(30.0, 1.0), seed=2, gain=60.0
+    )
+    rng = np.random.default_rng(3)
+    for params in net.params:
+        params.delays[:] = rng.uniform(0.2, 2.8, params.delays.shape)
+    x = _poisson_in(net, 150.0, 4)
+    surrogate = SurrogateConfig.for_theta(net.neuron.theta)
+    cache = soft_forward(net, x, surrogate) if soft else forward(net, x)
+    spec = LossSpec("precise") if mode == "precise" else LossSpec("count", 6.0, 2.0, (0.0, 30.0))
+    target = poisson_spike_train(net.layer_sizes[-1], 60.0, net.sim, 5)
+    e_out = output_error(net, cache, spec, target=target, label=1)
+    weights, delays, errors = _materialized_backward(net, cache, e_out, surrogate, spec)
+    plain = backward(net, cache, e_out, surrogate, spec=spec)
+    traced, trace = backward(net, cache, e_out, surrogate, want_trace=True, spec=spec)
+    pooled = [t for t, layer in enumerate(net.spec.layers[1:]) if layer.kind == "aggregate"]
+    assert all(np.any(delays[t] != 0.0) for t in pooled)
+    for t in range(net.n_transitions):
+        for grads in (plain, traced):
+            if weights[t] is None:
+                assert grads.weights[t] is None
+            else:
+                np.testing.assert_array_equal(grads.weights[t], weights[t])
+            np.testing.assert_array_equal(grads.delays[t], delays[t])
+        error = trace.errors[t].values
+        assert error.ndim == 2 and error.flags.c_contiguous and not error.flags.writeable
+        np.testing.assert_array_equal(error, errors[t].values)

@@ -130,6 +130,15 @@ def test_gen_poisson_rejects_a_nan_rate(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_poisson_makes_no_directory_for_a_nan_rate(tmp_path, capsys):
+    out = tmp_path / "d"
+    argv = ["gen-poisson", "--channels", "3", "--rate", "nan", "--t-ms", "20",
+            "--ts-ms", "1", "--count", "2", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "ERROR 1: rate_hz must be >= 0 and finite, got nan\n"
+    assert not out.exists()
+
+
 def test_train_writes_metrics_checkpoint_report(tmp_path, capsys):
     _write_dataset(tmp_path)
     cfg = _train_cfg(tmp_path, epochs=2)

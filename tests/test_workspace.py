@@ -213,21 +213,19 @@ def test_no_response_is_kept_for_an_aggregation(soft):
     assert [w is None for w in grads.weights] == [k == "aggregate" for k in kinds]
 
 
-def test_backward_holds_about_one_signal_above_its_entry():
-    """At its peak backward holds the error it is building and a block of
-    rho: 1.37 of the largest signal (the 4c3 layer's) on this net over 200
-    bins.  A credit held as a new array beside the spent error and the new
-    one reads 3.37."""
-    sim = SimConfig(200.0, 1.0)
+def _backward_peak(arch, t_ms):
+    """The net, and the traced peak over its entry of a second count-loss
+    backward, run after a first one has grown the workspace."""
+    sim = SimConfig(t_ms, 1.0)
     net = init_network(
-        parse_architecture("10x10x2-4c3-2a-3"), NeuronConfig(5.0, 2.0, 1.0), sim, seed=3, gain=40.0
+        parse_architecture(arch), NeuronConfig(5.0, 2.0, 1.0), sim, seed=3, gain=40.0
     )
     train = poisson_spike_train(net.layer_sizes[0], 60.0, sim, 5)
-    spec = LossSpec(mode="count", true_count=5.0, false_count=1.0, interval=(0.0, 200.0))
+    spec = LossSpec(mode="count", true_count=5.0, false_count=1.0, interval=(0.0, t_ms))
     surrogate = SurrogateConfig.for_theta(net.neuron.theta)
     cache = forward(net, train)
     e = output_error(net, cache, spec, label=1)
-    grads = backward(net, cache, e, surrogate, spec=spec)  # grows the workspace
+    grads = backward(net, cache, e, surrogate, spec=spec)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -236,8 +234,26 @@ def test_backward_holds_about_one_signal_above_its_entry():
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    signal = max(net.layer_sizes) * sim.n_samples * 8
+    return net, peak
+
+
+def test_backward_holds_about_one_signal_above_its_entry():
+    """At its peak backward holds the error it is building and a block of
+    rho: 1.37 of the largest signal (the 4c3 layer's) on this net over 200
+    bins.  A credit held as a new array beside the spent error and the new
+    one reads 3.37."""
+    net, peak = _backward_peak("10x10x2-4c3-2a-3", 200.0)
+    signal = max(net.layer_sizes) * net.sim.n_samples * 8
     assert peak < 2.0 * signal
+
+
+def test_an_aggregation_error_stays_pooled_in_backward():
+    """The 6c3 layer, pooled 2x2, is this net's largest: backward's peak
+    over its entry stays below one of its signals, at 0.64 over 300 bins.
+    An error materialized at the pooled layer's source reads 1.28."""
+    net, peak = _backward_peak("8x8x1-6c3-2a-5", 300.0)
+    assert max(net.layer_sizes) == net.layer_sizes[1]
+    assert peak < net.layer_sizes[1] * net.sim.n_samples * 8
 
 
 def test_a_convolution_left_in_a_large_workspace_matches_a_kept_one():
