@@ -166,11 +166,10 @@ def backward(
     e_out: SampledSignal,
     surrogate: SurrogateConfig,
     want_trace: bool = False,
-    spec: LossSpec = LossSpec("precise"),
     out: Gradients | None = None,
 ):
-    """Run the full backward pipeline from an output error signal of the
-    loss mode of ``spec``, precise unless given.
+    """Run the full backward pipeline from an output error signal; its
+    type chooses the loss's credit rule (:func:`output_credit`).
 
     Returns Gradients, or (Gradients, BackpropTrace) with want_trace.  The
     gradients are written into ``out`` (laid out as
@@ -189,7 +188,7 @@ def backward(
     errors = [None] * n_t + [e_out]
     deltas = [None] * (n_t + 1)
     with workspace() as work:
-        credit = output_credit(e_out, spec, epsilon, net.sim, work)
+        credit = output_credit(e_out, epsilon, work)
         delta = SampledSignal._adopt(_times_rho(credit, u_out.values, theta, surrogate), ts)
         for t in reversed(range(n_t)):
             grads.weights[t] = weight_gradient(

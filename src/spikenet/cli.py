@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .backprop import backward, finite_diff_gradients, output_error
-from .errors import ConfigError, SpikeNetError, require_positive
+from .errors import ConfigError, ParameterError, SpikeNetError, require_positive
 from .forward import forward
-from .losses import LossSpec
 from .runconfig import RunConfig, load_config
 from .signals import (
     SimConfig,
@@ -161,12 +160,15 @@ def cmd_gradcheck(args) -> int:
     for params in net.params:
         params.delays[:] = rng.uniform(0.1, 1.9, size=params.delays.shape)
     spikes_in = poisson_spike_train(net.layer_sizes[0], args.rate, net.sim, seed=[seed, 2])
-    target = poisson_spike_train(net.layer_sizes[-1], args.target_rate, net.sim, seed=[seed, 3])
-    loss = LossSpec(mode="precise")
+    loss, classes = rc.train.loss, net.layer_sizes[-1]
+    if loss.mode == "count":
+        data = dict(label=int(rng.integers(classes)))
+    else:
+        data = dict(target=poisson_spike_train(classes, args.target_rate, net.sim, seed=[seed, 3]))
     cache = forward(net, spikes_in, rc.train.surrogate)
-    e = output_error(net, cache, loss, target=target)
+    e = output_error(net, cache, loss, **data)
     analytic = backward(net, cache, e, rc.train.surrogate)
-    fd = finite_diff_gradients(net, spikes_in, loss, rc.train.surrogate, h=args.h, target=target)
+    fd = finite_diff_gradients(net, spikes_in, loss, rc.train.surrogate, h=args.h, **data)
     floor = 1e-8  # relative errors are taken against at least this magnitude
     worst = largest = 0.0
     failed = False
@@ -195,6 +197,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_gen_poisson(args) -> int:
+    if args.count < 1:
+        raise ParameterError(f"--count must be >= 1, got {args.count}")
     config = SimConfig(t_ms=args.t_ms, ts_ms=args.ts_ms)
     out = Path(args.out)
     single_file = args.count == 1 and out.suffix in (".csv", ".slyr")
@@ -246,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
     p.add_argument("--tol", type=float, default=1e-4, help="max relative error allowed")
     p.add_argument("--rate", type=float, default=100.0, help="input Poisson rate (Hz)")
-    p.add_argument("--target-rate", type=float, default=50.0, help="target Poisson rate (Hz)")
+    p.add_argument("--target-rate", type=float, default=50.0, help="precise-loss target rate (Hz)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = subs.add_parser("gen-poisson", help="generate Poisson spike train files")

@@ -6,6 +6,7 @@ style distance), and a count error, constant over a scoring interval and
 proportional to the difference between actual and desired spike counts.
 The scalar loss is the time integral of half the squared error, and
 :func:`output_credit` its derivative with respect to the output spikes.
+A count error is a :class:`CountErrorSignal` and carries its credit factor.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ class LossSpec:
         if self.mode == "count":
             if len(self.interval) != 2 or not self.interval[0] < self.interval[1]:
                 raise ParameterError("count loss needs an interval (t0, t1) with t0 < t1")
+            for name in ("true_count", "false_count"):
+                if not np.isfinite(value := getattr(self, name)):
+                    raise ParameterError(f"count loss {name} must be finite, got {value!r}")
 
     def desired_counts(self, label: int, classes: int) -> np.ndarray:
         if not 0 <= label < classes:
@@ -47,6 +51,13 @@ class LossSpec:
         desired = np.full(classes, float(self.false_count))
         desired[label] = float(self.true_count)
         return desired
+
+
+@dataclass(frozen=True, eq=False)
+class CountErrorSignal(SampledSignal):
+    """A count error and its credit factor Ts * |I|, I the interval bins."""
+
+    credit_scale: float
 
 
 def interval_bins(interval, config: SimConfig) -> np.ndarray:
@@ -80,7 +91,7 @@ def error_precise(
 
 def error_count(
     s_out: SampledSignal, desired: np.ndarray, interval, config: SimConfig
-) -> SampledSignal:
+) -> CountErrorSignal:
     """Constant (actual - desired) count difference on the interval bins."""
     desired = np.asarray(desired, dtype=np.float64)
     if desired.shape != (s_out.channels,):
@@ -93,7 +104,7 @@ def error_count(
     bins = interval_bins(interval, config)
     e = np.zeros((s_out.channels, s_out.n_samples))
     e[:, bins] = (actual - desired)[:, None]
-    return SampledSignal._adopt(e, s_out.ts_ms)
+    return CountErrorSignal._adopt(e, s_out.ts_ms, credit_scale=config.ts_ms * len(bins))
 
 
 def loss_value(e: SampledSignal) -> float:
@@ -101,16 +112,14 @@ def loss_value(e: SampledSignal) -> float:
     return 0.5 * e.ts_ms * float((e.values * e.values).sum())
 
 
-def output_credit(
-    e: SampledSignal, spec: LossSpec, epsilon: Kernel, config: SimConfig, work=None
-) -> np.ndarray:
-    """dE/ds_out / Ts for an output error ``e`` of the loss mode of ``spec``.
+def output_credit(e: SampledSignal, epsilon: Kernel, work=None) -> np.ndarray:
+    """dE/ds_out / Ts for an output error ``e``.
 
-    A precise error is epsilon * (s - target), so its credit correlates the
-    error with epsilon, in ``work`` if given.  A count error depends on s
-    only through the counts over the interval bins I, so each of those bins
-    gets Ts * |I| * e.
+    A count error depends on s only through the counts over the interval
+    bins I, so each of those bins gets its credit_scale Ts * |I| times e.
+    Any other error is precise, epsilon * (s - target), so its credit
+    correlates the error with epsilon, in ``work`` if given.
     """
-    if spec.mode == "count":
-        return config.ts_ms * len(interval_bins(spec.interval, config)) * e.values
+    if isinstance(e, CountErrorSignal):
+        return e.credit_scale * e.values
     return correlate_values(e.values, epsilon, zero_delays(e.channels), work)

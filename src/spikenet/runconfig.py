@@ -11,7 +11,7 @@ import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError, ParameterError, RangeError
 from .forward import SurrogateConfig
 from .kernels import DEFAULT_CUTOFF, NeuronConfig
 from .losses import LossSpec, interval_bins
@@ -224,15 +224,15 @@ def load_config(path: str | Path) -> RunConfig:
     loss = values["loss"]
     mode = loss.get("mode", "precise")
     if mode == "count":
-        loss = LossSpec(
-            mode="count",
-            true_count=_required(values, "loss", "true_count"),
-            false_count=_required(values, "loss", "false_count"),
-            interval=loss.get("interval", (0.0, sim.t_ms)),
-        )
         try:
+            loss = LossSpec(
+                mode="count",
+                true_count=_required(values, "loss", "true_count"),
+                false_count=_required(values, "loss", "false_count"),
+                interval=loss.get("interval", (0.0, sim.t_ms)),
+            )
             interval_bins(loss.interval, sim)
-        except RangeError as exc:
+        except (ParameterError, RangeError) as exc:
             raise ConfigError(f"[loss] {exc}") from exc
     else:
         loss = LossSpec(mode=mode)

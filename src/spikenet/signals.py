@@ -211,11 +211,12 @@ class SampledSignal:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def _adopt(cls, values: np.ndarray, ts_ms: float) -> "SampledSignal":
-        """Freeze a new float64 (channels, bins) array in place and wrap it."""
+    def _adopt(cls, values: np.ndarray, ts_ms: float, **fields) -> "SampledSignal":
+        """Freeze a new float64 (channels, bins) array in place and wrap it;
+        ``fields`` fill a subclass's extra fields."""
         values.flags.writeable = False
         signal = object.__new__(cls)
-        signal.__dict__.update(values=values, ts_ms=ts_ms)
+        signal.__dict__.update(values=values, ts_ms=ts_ms, **fields)
         return signal
 
     @property
@@ -411,6 +412,8 @@ def _read_events_binary(path, neuron_count, train_count):
     version, stored_count, n_events = struct.unpack("<HIQ", blob[4:head])
     if version != _BINARY_VERSION:
         raise ParseError(f"{path}: offset 4: unsupported version {version}")
+    if stored_count < 1:
+        raise ParseError(f"{path}: offset 6: neuron count must be >= 1, got {stored_count}")
     expected = head + n_events * _EVENT_DTYPE.itemsize
     if len(blob) != expected:
         raise ParseError(

@@ -112,7 +112,7 @@ def _sample_pass(net: Network, sample, cfg: TrainConfig, with_grads: bool, out=N
         predicted = classify(cache.spikes[-1], cfg.loss.interval, net.sim)
         correct = predicted == int(label)
     loss = loss_value(e)
-    grads = backward(net, cache, e, cfg.surrogate, spec=cfg.loss, out=out) if with_grads else None
+    grads = backward(net, cache, e, cfg.surrogate, out=out) if with_grads else None
     return loss, correct, grads
 
 
@@ -150,7 +150,6 @@ def train_epoch(
     order = np.random.default_rng([cfg.seed, epoch]).permutation(len(dataset))
     total_loss = 0.0
     total_correct = 0
-    counting = cfg.loss.mode == "count"
     # The first batch gives each sample new gradient arrays, and later
     # batches write into the last of them.  A buffer allocated up front
     # instead took nmnist_mlp from about 25 k to 250 k minor page faults
@@ -162,13 +161,12 @@ def train_epoch(
         batch = [dataset.samples[i] for i in order[start : start + cfg.batch_size]]
         for loss, correct, grads in _run_samples(net, batch, cfg, True, buffer):
             total_loss += loss
-            if counting:
-                total_correct += bool(correct)
+            total_correct += bool(correct)
             mean.absorb(grads, 1.0 / len(batch))
         buffer = grads
         step(optim_state, net, mean)
         mean.clear()
-    accuracy = total_correct / len(dataset) if counting else None
+    accuracy = total_correct / len(dataset) if cfg.loss.mode == "count" else None
     return MetricRow(epoch, "train", total_loss / len(dataset), accuracy)
 
 
@@ -368,10 +366,23 @@ def load_checkpoint(path: str | Path):
         method = cur.read_str()
         optim_state = OptimizerState(method=method, **cur.read_record(_OPTIM_RECORD))
         optim_state.step_count = cur.unpack("<Q")
+        # a moment is "m1." or "m2." and the optimizer key of one parameter
+        stores = {"m1.": optim_state.moment1, "m2.": optim_state.moment2}
+        shapes = {f"{kind}{t}": a.shape for t, p in enumerate(params)
+                  for kind, a in (("w", p.weights), ("d", p.delays)) if a is not None}
         for _ in range(cur.unpack("<I")):
             name = cur.read_str()
-            store = optim_state.moment1 if name.startswith("m1.") else optim_state.moment2
-            store[name[3:]] = finite_array(f"optimizer moment {name}")
+            store, key = stores.get(name[:3]), name[3:]
+            if store is None or key not in shapes:
+                raise FormatError(f"{path}: optimizer moment {name!r} names no parameter")
+            if key in store:
+                raise FormatError(f"{path}: optimizer moment {name!r} appears twice")
+            array = finite_array(f"optimizer moment {name}")
+            if array.shape != shapes[key]:
+                raise FormatError(
+                    f"{path}: optimizer moment {name!r} has shape {array.shape}, not {shapes[key]}"
+                )
+            store[key] = array
     epoch = cur.unpack("<I")
     if extra := len(cur.data) - cur.pos:
         raise FormatError(f"{path}: {extra} extra bytes after the epoch counter")

@@ -32,7 +32,7 @@ from spikenet import (
 from spikenet.backprop import _times_rho, delay_gradient, delta_layer, output_error, weight_gradient
 from spikenet.errors import NumericError, ParameterError
 from spikenet.forward import soft_spike
-from spikenet.losses import error_count, error_precise, output_credit
+from spikenet.losses import error_count, error_precise, interval_bins, output_credit
 
 
 def _sig(values, ts=1.0):
@@ -378,7 +378,7 @@ def test_finite_differences_confirm_soft_gradients(spec):
         spikes, kw = _fd_sample(net, spec, seed)
         cache = soft_forward(net, spikes, surrogate)
         e_out = output_error(net, cache, spec, **kw)
-        got = backward(net, cache, e_out, surrogate, spec=spec)
+        got = backward(net, cache, e_out, surrogate)
         fd = finite_diff_gradients(net, spikes, spec, surrogate, h=1e-5, **kw)
         for t in range(net.n_transitions):
             for g, f in ((got.weights[t], fd.weights[t]), (got.delays[t], fd.delays[t])):
@@ -399,7 +399,7 @@ def test_finite_differences_confirm_conv_and_aggregate_gradients(arch, spec):
         spikes, kw = _fd_sample(net, spec, seed)
         cache = soft_forward(net, spikes, surrogate)
         e_out = output_error(net, cache, spec, **kw)
-        got = backward(net, cache, e_out, surrogate, spec=spec)
+        got = backward(net, cache, e_out, surrogate)
         fd = finite_diff_gradients(net, spikes, spec, surrogate, h=1e-5, **kw)
         for t in range(net.n_transitions):
             pairs = [(got.delays[t], fd.delays[t])]
@@ -431,12 +431,39 @@ def test_first_layer_gradients_vanish_behind_zero_weights():
     assert np.any(got.weights[1] != 0.0)
 
 
+def test_a_count_error_gets_the_count_gradient_without_naming_its_loss():
+    """backward takes its credit rule from the error, so a count error
+    needs no loss argument; given the precise credit it missed central
+    differences by about 80 % of the largest gradient."""
+    net = well_conditioned_net(0)
+    surrogate = SurrogateConfig(alpha=10.0, beta=0.5)
+    spec = LossSpec("count", 6.0, 2.0, (5.0, 25.0))
+    spikes, kw = _fd_sample(net, spec, 0)
+    cache = forward(net, spikes, surrogate)
+    got = backward(net, cache, output_error(net, cache, spec, **kw), surrogate)
+    fd = finite_diff_gradients(net, spikes, spec, surrogate, h=1e-5, **kw)
+    for g, f in zip(got.weights + got.delays, fd.weights + fd.delays):
+        assert np.abs(g - f).max() <= 1e-6 * np.abs(f).max()
+
+
+def test_a_count_error_carries_its_credit_factor():
+    """The output credit of a count error is Ts * |I| * e, bit for bit,
+    and the error is still a SampledSignal."""
+    net = well_conditioned_net(0)
+    cache = forward(net, poisson_spike_train(4, 150.0, net.sim, 3))
+    interval = (5.0, 25.0)
+    e = error_count(cache.spikes[-1], np.array([6.0, 2.0, 2.0]), interval, net.sim)
+    assert isinstance(e, SampledSignal)
+    want = net.sim.ts_ms * len(interval_bins(interval, net.sim)) * e.values
+    np.testing.assert_array_equal(output_credit(e, net.epsilon), want)
+
+
 def test_count_mode_backward_runs_on_hard_cache():
     net = _toy_net(seed=6)
     cache = forward(net, _poisson_in(net, 200.0, 8))
     spec = LossSpec("count", 6.0, 2.0, (0.0, 25.0))
     e_out = output_error(net, cache, spec, label=0)
-    grads = backward(net, cache, e_out, SurrogateConfig(10.0, 0.05), spec=spec)
+    grads = backward(net, cache, e_out, SurrogateConfig(10.0, 0.05))
     for t in range(net.n_transitions):
         assert np.all(np.isfinite(grads.weights[t]))
         assert np.all(np.isfinite(grads.delays[t]))
@@ -460,7 +487,7 @@ def test_forward_caches_and_backprop_traces_are_read_only(arch):
     spec = LossSpec("count", 6.0, 2.0, (0.0, 25.0))
     for cache in (forward(net, x), soft_forward(net, x, surrogate)):
         e_out = output_error(net, cache, spec, label=0)
-        _, trace = backward(net, cache, e_out, surrogate, want_trace=True, spec=spec)
+        _, trace = backward(net, cache, e_out, surrogate, want_trace=True)
         signals = cache.spikes + cache.potentials + cache.responses + trace.errors + trace.deltas
         arrays = [s.values for s in signals if s is not None]
         assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
@@ -472,12 +499,12 @@ def test_forward_caches_and_backprop_traces_are_read_only(arch):
                 a[...] = 0
 
 
-def _materialized_backward(net, cache, e_out, surrogate, spec):
+def _materialized_backward(net, cache, e_out, surrogate):
     """Weight and delay gradients and errors of backward's chain, with every
     error materialized by adjoint_linear before delta_layer and
     delay_gradient read it."""
     theta, n_t = net.neuron.theta, net.n_transitions
-    credit = np.array(output_credit(e_out, spec, net.epsilon, net.sim))
+    credit = np.array(output_credit(e_out, net.epsilon))
     rho_credit = _times_rho(credit, cache.potentials[n_t].values, theta, surrogate)
     delta = SampledSignal._adopt(rho_credit, net.sim.ts_ms)
     weights, delays, errors = [None] * n_t, [None] * n_t, [None] * n_t
@@ -508,9 +535,9 @@ def test_pooled_aggregation_errors_give_the_materialized_gradients(arch, soft, m
     spec = LossSpec("precise") if mode == "precise" else LossSpec("count", 6.0, 2.0, (0.0, 30.0))
     target = poisson_spike_train(net.layer_sizes[-1], 60.0, net.sim, 5)
     e_out = output_error(net, cache, spec, target=target, label=1)
-    weights, delays, errors = _materialized_backward(net, cache, e_out, surrogate, spec)
-    plain = backward(net, cache, e_out, surrogate, spec=spec)
-    traced, trace = backward(net, cache, e_out, surrogate, want_trace=True, spec=spec)
+    weights, delays, errors = _materialized_backward(net, cache, e_out, surrogate)
+    plain = backward(net, cache, e_out, surrogate)
+    traced, trace = backward(net, cache, e_out, surrogate, want_trace=True)
     pooled = [t for t, layer in enumerate(net.spec.layers[1:]) if layer.kind == "aggregate"]
     assert all(np.any(delays[t] != 0.0) for t in pooled)
     for t in range(net.n_transitions):

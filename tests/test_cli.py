@@ -139,6 +139,18 @@ def test_gen_poisson_makes_no_directory_for_a_nan_rate(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_poisson_rejects_a_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "d"
+    argv = ["gen-poisson", "--channels", "3", "--rate", "50", "--t-ms", "20",
+            "--ts-ms", "1", "--count", count, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"ERROR 1: --count must be >= 1, got {count}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_train_writes_metrics_checkpoint_report(tmp_path, capsys):
     _write_dataset(tmp_path)
     cfg = _train_cfg(tmp_path, epochs=2)
@@ -244,6 +256,17 @@ def test_train_rejects_an_interval_outside_the_window_before_reading_data(tmp_pa
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_rejects_a_non_finite_count_before_reading_data(tmp_path, capsys, value):
+    argv = _count_run(tmp_path)
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text(cfg.read_text().replace("true_count = 4", f"true_count = {value}"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"ERROR 1: [loss] count loss true_count must be finite, got {value}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_rejects_a_checkpoint_with_trailing_bytes(tmp_path, capsys):
     _write_dataset(tmp_path)
     cfg = _train_cfg(tmp_path, epochs=0)
@@ -297,6 +320,25 @@ def test_gradcheck_passes_on_smooth_configuration(tmp_path, capsys):
     lines = [l for l in out.strip().splitlines() if "max rel err" in l]
     assert len(lines) == 4  # weights and delays for two transitions
     assert all(l.endswith("PASS") for l in lines)
+
+
+def test_gradcheck_checks_a_count_config_under_the_count_loss(tmp_path, capsys, monkeypatch):
+    """A [loss] count config builds a count error for the analytic pass
+    and for both probes of each of the 4-6-3 net's 52 parameters."""
+    desired = []
+    real = spikenet.backprop.error_count
+
+    def recorded(s_out, counts, interval, config):
+        desired.append(sorted(counts))
+        return real(s_out, counts, interval, config)
+
+    monkeypatch.setattr(spikenet.backprop, "error_count", recorded)
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG + "\n[loss]\nmode = count\ntrue_count = 5\nfalse_count = 1\n")
+    code = main(["gradcheck", "--config", str(cfg)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("gradient check passed")
+    assert desired == [[1.0, 1.0, 5.0]] * (1 + 2 * 52)
 
 
 def test_gradcheck_fails_when_a_gradient_lies(tmp_path, capsys, monkeypatch):

@@ -231,6 +231,9 @@ def _events_file(tmp_path, name, data):
     ("slyr-unsupported-version",
      lambda p: _events_file(p, "e.slyr", b"SLYR" + struct.pack("<HIQ", 2, 3, 0)),
      ParseError, "e.slyr: offset 4: unsupported version 2"),
+    ("slyr-without-neurons",
+     lambda p: _events_file(p, "e.slyr", b"SLYR" + struct.pack("<HIQ", 1, 0, 0)),
+     ParseError, "e.slyr: offset 6: neuron count must be >= 1, got 0"),
 )
 def test_signals_errors(tmp_path, build, error, message):
     _raises(tmp_path, build, error, message)

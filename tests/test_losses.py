@@ -36,6 +36,14 @@ def test_loss_spec_validation():
     LossSpec("count", 20.0, 5.0, (0.0, 50.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["true_count", "false_count"])
+def test_count_loss_spec_rejects_a_non_finite_count(field, bad):
+    counts = {"true_count": 20.0, "false_count": 5.0, field: bad}
+    with pytest.raises(ParameterError, match=rf"^count loss {field} must be finite, got "):
+        LossSpec("count", interval=(0.0, 50.0), **counts)
+
+
 def test_desired_counts_one_hot_mix():
     spec = LossSpec("count", 20.0, 5.0, (0.0, 50.0))
     np.testing.assert_array_equal(spec.desired_counts(2, 5), [5.0, 5.0, 20.0, 5.0, 5.0])

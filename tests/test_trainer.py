@@ -1,5 +1,6 @@
 """Training loop, evaluation, metrics file, and checkpointing."""
 
+import re
 import struct
 import tracemalloc
 
@@ -182,7 +183,7 @@ def test_batch_mean_is_the_in_order_mean_of_per_sample_gradients(threads):
             x, target = data.samples[i]
             cache = forward(ref, x)
             e = output_error(ref, cache, cfg.loss, target=target)
-            per_sample.append(backward(ref, cache, e, cfg.surrogate, spec=cfg.loss))
+            per_sample.append(backward(ref, cache, e, cfg.surrogate))
         mean = []
         for arrays in zip(*(g.weights + g.delays for g in per_sample)):
             stacked = np.stack(arrays)
@@ -363,6 +364,36 @@ def test_checkpoint_rejects_non_finite_arrays(tmp_path, where, bad):
     path = tmp_path / "bad.slck"
     save_checkpoint(net, state, path)
     with pytest.raises(FormatError, match=f"bad.slck: non-finite values in {name}$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # only "m1." and "m2." name a moment store
+    (b"m2.w1", b"zz.w9", "'zz.w9' names no parameter"),
+    # the golden net has two transitions, and its first is a frozen aggregation
+    (b"m1.w1", b"m1.w9", "'m1.w9' names no parameter"),
+    (b"m2.w1", b"m2.w0", "'m2.w0' names no parameter"),
+    (b"m1.d1", b"m1.d0", "'m1.d0' appears twice"),
+])
+def test_checkpoint_rejects_a_moment_of_no_parameter_or_a_repeated_one(tmp_path, old, new, message):
+    blob = _golden_checkpoint()[2]
+    assert blob.count(old) == 1
+    path = tmp_path / "bad.slck"
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(FormatError, match=re.escape(f"bad.slck: optimizer moment {message}") + "$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_moment_shaped_unlike_its_parameter(tmp_path):
+    net = _net(seed=9)
+    state = OptimizerState.adam(learning_rate=0.004)
+    step(state, net, Gradients.zeros_like(net))
+    assert state.moment2["w0"].shape == (5, 6)
+    state.moment2["w0"] = np.zeros((5, 5))
+    path = tmp_path / "bad.slck"
+    save_checkpoint(net, state, path)
+    message = "bad.slck: optimizer moment 'm2.w0' has shape (5, 5), not (5, 6)"
+    with pytest.raises(FormatError, match=re.escape(message) + "$"):
         load_checkpoint(path)
 
 

@@ -73,7 +73,7 @@ def _pass(net, train, spec=SPEC):
     cache = forward(net, train)
     e = output_error(net, cache, spec, label=1)
     grads, trace = backward(
-        net, cache, e, SurrogateConfig.for_theta(net.neuron.theta), True, spec
+        net, cache, e, SurrogateConfig.for_theta(net.neuron.theta), True
     )
     return cache, grads, trace
 
@@ -209,7 +209,7 @@ def test_no_response_is_kept_for_an_aggregation(soft):
     assert kinds == ["conv", "aggregate", "aggregate", "dense"]
     assert [r is None for r in cache.responses] == [k == "aggregate" for k in kinds]
     e = output_error(net, cache, SPEC, label=1)
-    grads = backward(net, cache, e, SurrogateConfig.for_theta(net.neuron.theta), spec=SPEC)
+    grads = backward(net, cache, e, SurrogateConfig.for_theta(net.neuron.theta))
     assert [w is None for w in grads.weights] == [k == "aggregate" for k in kinds]
 
 
@@ -225,12 +225,12 @@ def _backward_peak(arch, t_ms):
     surrogate = SurrogateConfig.for_theta(net.neuron.theta)
     cache = forward(net, train)
     e = output_error(net, cache, spec, label=1)
-    grads = backward(net, cache, e, surrogate, spec=spec)
+    grads = backward(net, cache, e, surrogate)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        backward(net, cache, e, surrogate, spec=spec, out=grads)
+        backward(net, cache, e, surrogate, out=grads)
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
