@@ -8,7 +8,6 @@ the spike function, yielding gradients for both weights and delays.
 """
 
 from .backprop import (
-    BackpropTrace,
     Gradients,
     backward,
     finite_diff_gradients,

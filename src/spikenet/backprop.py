@@ -63,14 +63,6 @@ class Gradients:
             mine += theirs
 
 
-@dataclass(eq=False)
-class BackpropTrace:
-    """Per-layer error and credit signals kept for inspection."""
-
-    errors: list
-    deltas: list
-
-
 def output_error(
     net: Network,
     cache: SignalCache,
@@ -165,14 +157,12 @@ def backward(
     cache: SignalCache,
     e_out: SampledSignal,
     surrogate: SurrogateConfig,
-    want_trace: bool = False,
     out: Gradients | None = None,
-):
+) -> Gradients:
     """Run the full backward pipeline from an output error signal; its
     type chooses the loss's credit rule (:func:`output_credit`).
 
-    Returns Gradients, or (Gradients, BackpropTrace) with want_trace.  The
-    gradients are written into ``out`` (laid out as
+    The gradients are written into ``out`` (laid out as
     :meth:`Gradients.zeros_like`) when it is given, else into new arrays.
     """
     n_t = net.n_transitions
@@ -185,8 +175,6 @@ def backward(
     theta = net.neuron.theta
     ts = net.sim.ts_ms
     grads = Gradients([None] * n_t, [None] * n_t) if out is None else out
-    errors = [None] * n_t + [e_out]
-    deltas = [None] * (n_t + 1)
     with workspace() as work:
         credit = output_credit(e_out, epsilon, work)
         delta = SampledSignal._adopt(_times_rho(credit, u_out.values, theta, surrogate), ts)
@@ -202,9 +190,6 @@ def backward(
                 e = SampledSignal._adopt(block_view(net, t, delta.values.copy()), ts)
             else:
                 e = adjoint_linear(net, t, delta)
-            if want_trace:  # else each layer's signals are freed as soon as used
-                errors[t] = e if e.values.ndim == 2 else adjoint_linear(net, t, delta)
-                deltas[t + 1] = SampledSignal._adopt(delta.values.copy(), ts)
             delays = net.params[t].delays
             grads.delays[t] = delay_gradient(
                 e, cache.spikes[t], eps_dot, delays, cache.events[t], grads.delays[t], work
@@ -216,8 +201,6 @@ def backward(
     for t, (w, d) in enumerate(zip(grads.weights, grads.delays)):
         if (w is not None and not np.isfinite(w).all()) or not np.isfinite(d).all():
             raise NumericError(f"non-finite gradient in transition {t}")
-    if want_trace:
-        return grads, BackpropTrace(errors, deltas)
     return grads
 
 

@@ -2,8 +2,8 @@
 
 Commands: train, eval, simulate, gradcheck, gen-poisson.  Every command
 is deterministic given its configuration and seed.  Failures print one
-line "ERROR <code>: ..." to stderr and exit nonzero (2 for missing
-files, 1 for everything else).
+line "ERROR <code>: ..." to stderr and exit nonzero (2 for files that
+are missing or cannot be read, 1 for everything else).
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"ERROR 2: {exc}", file=sys.stderr)
         return 2
     except SpikeNetError as exc:

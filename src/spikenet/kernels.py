@@ -83,10 +83,15 @@ class Kernel:
         return out
 
 
+def require_cutoff(cutoff: float) -> None:
+    """Raise ParameterError unless the relative truncation cutoff lies in (0, 1)."""
+    if not 0.0 < cutoff < 1.0:
+        raise ParameterError(f"cutoff must lie in (0, 1), got {cutoff!r}")
+
+
 def _sample_and_truncate(neuron: NeuronConfig, ts_ms: float, cutoff: float, fn) -> Kernel:
     require_positive(ts_ms=ts_ms)
-    if not 0.0 < cutoff < 1.0:
-        raise ParameterError("cutoff must lie in (0, 1)")
+    require_cutoff(cutoff)
     ceiling = 10.0 * max(neuron.tau_s, neuron.tau_r)
     grid = np.arange(int(np.floor(ceiling / ts_ms)) + 1) * ts_ms
     vals = fn(grid, None)

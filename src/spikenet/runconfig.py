@@ -11,13 +11,13 @@ import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError, ParameterError, RangeError
+from .errors import ConfigError, ParameterError, ParseError, RangeError
 from .forward import SurrogateConfig
 from .kernels import DEFAULT_CUTOFF, NeuronConfig
 from .losses import LossSpec, interval_bins
 from .optim import OptimizerState
-from .signals import SimConfig, SpikeTrain, read_events
-from .topology import Network, init_network, parse_architecture
+from .signals import SimConfig, SpikeTrain, read_events, read_text
+from .topology import Network, NetworkSpec, init_network, parse_architecture
 from .trainer import Dataset, TrainConfig
 
 
@@ -82,6 +82,7 @@ class RunConfig:
     """
 
     architecture: str
+    spec: NetworkSpec  # the parsed architecture
     sim: SimConfig
     neuron: NeuronConfig
     gain: float | None
@@ -94,7 +95,7 @@ class RunConfig:
 
     def build_network(self, seed: int | None = None) -> Network:
         return init_network(
-            parse_architecture(self.architecture),
+            self.spec,
             self.neuron,
             self.sim,
             seed=self.train.seed if seed is None else seed,
@@ -127,7 +128,7 @@ class RunConfig:
         prefix = "" if split == "train" else "eval_"
         if prefix + "inputs" not in self.data:
             return None
-        counts = parse_architecture(self.architecture).neuron_counts
+        counts = self.spec.neuron_counts
         if not 1 <= self.data.get("classes", 1) <= counts[-1]:
             raise ConfigError(
                 f"[data] classes = {self.data['classes']} outside 1..{counts[-1]}, "
@@ -162,7 +163,7 @@ class RunConfig:
 def _read_labels(path: Path, classes: int) -> list:
     """The integer labels of a labels file, each in 0..classes-1."""
     labels = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -191,7 +192,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise FileNotFoundError(f"config file does not exist: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        cp.read(path)
+        cp.read_string(read_text(path, ConfigError), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     values = {section: {} for section in _KEYS}
@@ -237,9 +238,14 @@ def load_config(path: str | Path) -> RunConfig:
     else:
         loss = LossSpec(mode=mode)
     architecture = _required(values, "network", "architecture")
+    try:
+        spec = parse_architecture(architecture)
+    except ParseError as exc:
+        raise ConfigError(f"{path}: [network] architecture: {exc}") from exc
     values["train"].setdefault("epochs", 100)
     return RunConfig(
         architecture=architecture,
+        spec=spec,
         sim=sim,
         neuron=neuron,
         gain=values["network"].get("gain"),

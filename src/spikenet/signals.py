@@ -362,6 +362,17 @@ def read_events(path, neuron_count=None, train_count=None) -> SpikeTrainSet:
     return _read_events_binary(path, neuron_count, train_count)
 
 
+def read_text(path, error=ParseError) -> str:
+    """The UTF-8 text of file ``path``; a byte that does not decode raises
+    ``error`` naming the file and the line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _parse_csv_rows(lines) -> np.ndarray:
     """CSV event lines as records; blank lines are skipped."""
     rows = [line for line in lines if line.strip()]
@@ -384,7 +395,7 @@ def _first_bad_line(lines) -> int:
 
 
 def _read_events_csv(path, neuron_count, train_count):
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ParseError(f"{path}: line 1: expected header '{_CSV_HEADER}'")
     try:

@@ -22,7 +22,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericError, ParameterError, ParseError, ShapeError
-from .kernels import DEFAULT_CUTOFF, Kernel, NeuronConfig, make_epsilon, make_epsilon_dot, make_nu
+from .kernels import (
+    DEFAULT_CUTOFF, Kernel, NeuronConfig, make_epsilon, make_epsilon_dot, make_nu, require_cutoff
+)
 from .signals import SampledSignal, SimConfig
 
 
@@ -230,6 +232,7 @@ class Network:
     cutoff: float = DEFAULT_CUTOFF
 
     def __post_init__(self):
+        require_cutoff(self.cutoff)
         if len(self.params) != self.spec.n_transitions:
             raise ShapeError(
                 f"{len(self.params)} parameter blocks for "

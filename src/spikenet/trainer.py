@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .backprop import Gradients, backward, output_error
-from .errors import FormatError, ParameterError, ShapeError
+from .errors import FormatError, ParameterError, ShapeError, SpikeNetError
 from .forward import SurrogateConfig, forward
 from .kernels import NeuronConfig
 from .losses import LossSpec, loss_value, spike_counts
@@ -337,25 +337,32 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path):
     """Rebuild (net, optim_state, epoch) exactly as saved; weights, delays
-    and moments must be finite."""
+    and moments must be finite.  Every fault in the bytes, the settings
+    they hold included, is a FormatError that names the file."""
     cur = _Cursor(Path(path).read_bytes())
+    try:
+        return _decode_checkpoint(cur)
+    except (SpikeNetError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
+
+def _decode_checkpoint(cur: _Cursor):
     def finite_array(name: str) -> np.ndarray:
         array = cur.read_array()
         if not np.all(np.isfinite(array)):
-            raise FormatError(f"{path}: non-finite values in {name}")
+            raise FormatError(f"non-finite values in {name}")
         return array
 
     if cur.take(4) != _MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file (bad magic)")
+        raise FormatError("not a checkpoint file (bad magic)")
     version = cur.unpack("<H")
     if version != _VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        raise FormatError(f"unsupported checkpoint version {version}")
     spec = parse_architecture(cur.read_str())
     constants = cur.read_record(_NET_RECORD, neuron=NeuronConfig, sim=SimConfig)
     n_transitions = cur.unpack("<I")
     if n_transitions != spec.n_transitions:
-        raise FormatError(f"{path}: transition count mismatch")
+        raise FormatError("transition count mismatch")
     params = []
     for t in range(n_transitions):
         weights = finite_array(f"weights of transition {t}") if cur.unpack("<B") else None
@@ -374,16 +381,16 @@ def load_checkpoint(path: str | Path):
             name = cur.read_str()
             store, key = stores.get(name[:3]), name[3:]
             if store is None or key not in shapes:
-                raise FormatError(f"{path}: optimizer moment {name!r} names no parameter")
+                raise FormatError(f"optimizer moment {name!r} names no parameter")
             if key in store:
-                raise FormatError(f"{path}: optimizer moment {name!r} appears twice")
+                raise FormatError(f"optimizer moment {name!r} appears twice")
             array = finite_array(f"optimizer moment {name}")
             if array.shape != shapes[key]:
                 raise FormatError(
-                    f"{path}: optimizer moment {name!r} has shape {array.shape}, not {shapes[key]}"
+                    f"optimizer moment {name!r} has shape {array.shape}, not {shapes[key]}"
                 )
             store[key] = array
     epoch = cur.unpack("<I")
     if extra := len(cur.data) - cur.pos:
-        raise FormatError(f"{path}: {extra} extra bytes after the epoch counter")
+        raise FormatError(f"{extra} extra bytes after the epoch counter")
     return net, optim_state, epoch

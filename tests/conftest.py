@@ -16,6 +16,7 @@ from spikenet import (
     Network,
     NeuronConfig,
     SimConfig,
+    SpikeTrain,
     parse_architecture,
 )
 
@@ -126,3 +127,12 @@ def manual_network(arch, weights, delays, neuron, sim, cutoff=1e-6):
         for w, d in zip(weights, delays)
     ]
     return Network(spec, params, neuron, sim, cutoff)
+
+
+def staircase_train(net):
+    """Input channel k fires once, at the centre of bin k.  With zero
+    delays its response is exactly 0 up to and including bin k, so column
+    k of transition 0's weight gradient integrates credit at later bins
+    only."""
+    bins = np.arange(net.layer_sizes[0])
+    return SpikeTrain(len(bins), np.column_stack((bins, net.sim.bin_center(bins))))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ref_epsilon, ref_epsilon_dot, ref_nu, well_conditioned_net
+from conftest import ref_epsilon, ref_epsilon_dot, ref_nu, staircase_train, well_conditioned_net
 from spikenet import (
     Dataset,
     LossSpec,
@@ -261,31 +261,31 @@ def test_criterion_5_count_classification():
 
 def test_criterion_6_credit_respects_time():
     """Error applied to the last five bins produces credit at strictly
-    earlier bins, and credit at bin n ignores error before n."""
+    earlier bins, and credit at bin n ignores error before n.
+
+    Both are read off transition 0's weight gradient on a staircase input
+    (conftest), whose column k integrates the hidden credit after bin k:
+    the columns of inputs whose response ends before the error bins are
+    nonzero, and editing the error before bin m leaves the columns
+    k >= m - 1 bit-identical."""
     t0 = time.monotonic()
     net = init_network(
-        parse_architecture("10-8-4"), NeuronConfig(10.0, 2.0, 1.0), SimConfig(40.0, 1.0),
+        parse_architecture("40-8-4"), NeuronConfig(10.0, 2.0, 1.0), SimConfig(40.0, 1.0),
         seed=11,
     )
-    spikes = poisson_spike_train(10, 180.0, net.sim, 13)
-    cache = forward(net, spikes)
+    cache = forward(net, staircase_train(net))
     surrogate = SurrogateConfig(10.0, 0.5)
     n = net.sim.n_samples
     e_late = np.zeros((4, n))
     e_late[:, -5:] = 1.0
-    _, trace = backward(net, cache, SampledSignal(e_late, 1.0), surrogate, want_trace=True)
-    hidden = trace.deltas[1].values
-    earlier = bool(np.any(hidden[:, : n - 5] != 0.0))
+    grad = backward(net, cache, SampledSignal(e_late, 1.0), surrogate).weights[0]
+    early = n - 4 - len(net.epsilon.samples)  # responses that end before bin n - 5
+    earlier = early == 15 and bool(np.all(np.any(grad[:, :early] != 0.0, axis=0)))
+    m = n - 12
     e_edit = np.array(e_late)
-    e_edit[:, : n - 12] = -3.5
-    _, trace2 = backward(net, cache, SampledSignal(e_edit, 1.0), surrogate, want_trace=True)
-    invariant = all(
-        np.array_equal(
-            trace.deltas[layer].values[:, n - 12 :],
-            trace2.deltas[layer].values[:, n - 12 :],
-        )
-        for layer in (1, 2)
-    )
+    e_edit[:, :m] = -3.5
+    edited = backward(net, cache, SampledSignal(e_edit, 1.0), surrogate).weights[0]
+    invariant = bool(np.any(edited != grad)) and np.array_equal(edited[:, m - 1 :], grad[:, m - 1 :])
     elapsed = time.monotonic() - t0
     ok = earlier and invariant and elapsed < 1.0
     _report(6, "credit assignment flows backward in time", ok,

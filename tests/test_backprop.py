@@ -8,6 +8,7 @@ from conftest import (
     ref_correlate,
     ref_epsilon,
     ref_epsilon_dot,
+    staircase_train,
     truncate_ref,
     well_conditioned_net,
 )
@@ -296,27 +297,29 @@ def test_backward_is_linear_in_the_error():
 
 
 def test_credit_flows_strictly_backward_in_time():
-    """With output error confined to the last bins, hidden-layer deltas
-    appear only at earlier bins, and the delta at bin n never changes
-    when the error at bins before n is edited."""
-    net = _toy_net(seed=3)
-    cache = forward(net, _poisson_in(net, 200.0, 2))
+    """On a staircase input, transition 0's weight gradient column k
+    integrates hidden credit at bins after k only.  With output error on
+    the last 5 bins, the inputs whose response ends before them still get
+    credit, and editing the error before bin m leaves every column
+    k >= m - 1 bit-identical."""
+    net = init_network(
+        parse_architecture("30-6-2"), NeuronConfig(10.0, 1.0, 1.0), SimConfig(30.0, 1.0), seed=3
+    )
+    cache = forward(net, staircase_train(net))
     surrogate = SurrogateConfig(10.0, 0.5)
     n = net.sim.n_samples
     e_late = np.zeros((2, n))
     e_late[:, -5:] = 1.0
-    _, trace = backward(net, cache, _sig(e_late), surrogate, want_trace=True)
-    hidden_delta = trace.deltas[1].values  # credit at the hidden layer
-    assert np.any(hidden_delta[:, : n - 5] != 0.0)
-    # editing the error strictly before a bin leaves that bin's delta alone
+    grad = backward(net, cache, _sig(e_late), surrogate).weights[0]
+    early = n - 4 - len(net.epsilon.samples)  # responses that end before bin n - 5
+    assert early == 15
+    assert np.all(np.any(grad[:, :early] != 0.0, axis=0))
+    m = n - 10
     e_edit = np.array(e_late)
-    e_edit[:, : n - 10] = 7.0
-    _, trace2 = backward(net, cache, _sig(e_edit), surrogate, want_trace=True)
-    for layer in (1, 2):
-        np.testing.assert_array_equal(
-            trace.deltas[layer].values[:, n - 10 :],
-            trace2.deltas[layer].values[:, n - 10 :],
-        )
+    e_edit[:, :m] = 7.0
+    edited = backward(net, cache, _sig(e_edit), surrogate).weights[0]
+    assert np.any(edited != grad)
+    np.testing.assert_array_equal(edited[:, m - 1 :], grad[:, m - 1 :])
 
 
 def test_soft_forward_has_no_refractory_feedback():
@@ -480,19 +483,19 @@ def test_backward_flags_an_overflowing_adjoint():
 
 
 @pytest.mark.parametrize("arch", ["3-4-2", "6x6x2-2c3-2a-3"])
-def test_forward_caches_and_backprop_traces_are_read_only(arch):
+def test_forward_caches_stay_read_only_through_backward(arch):
     net = _toy_net(seed=6, arch=arch)
     x = _poisson_in(net, 200.0, 8)
     surrogate = SurrogateConfig(10.0, 0.05)
     spec = LossSpec("count", 6.0, 2.0, (0.0, 25.0))
     for cache in (forward(net, x), soft_forward(net, x, surrogate)):
         e_out = output_error(net, cache, spec, label=0)
-        _, trace = backward(net, cache, e_out, surrogate, want_trace=True)
-        signals = cache.spikes + cache.potentials + cache.responses + trace.errors + trace.deltas
+        backward(net, cache, e_out, surrogate)
+        signals = cache.spikes + cache.potentials + cache.responses
         arrays = [s.values for s in signals if s is not None]
         assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
         arrays += [events for events in cache.events if events is not None]
-        assert len(arrays) > 4 * net.n_transitions
+        assert len(arrays) > 3 * net.n_transitions
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -500,22 +503,23 @@ def test_forward_caches_and_backprop_traces_are_read_only(arch):
 
 
 def _materialized_backward(net, cache, e_out, surrogate):
-    """Weight and delay gradients and errors of backward's chain, with every
-    error materialized by adjoint_linear before delta_layer and
-    delay_gradient read it."""
+    """Weight and delay gradients of backward's chain, with every error
+    materialized by adjoint_linear before delta_layer and delay_gradient
+    read it."""
     theta, n_t = net.neuron.theta, net.n_transitions
     credit = np.array(output_credit(e_out, net.epsilon))
     rho_credit = _times_rho(credit, cache.potentials[n_t].values, theta, surrogate)
     delta = SampledSignal._adopt(rho_credit, net.sim.ts_ms)
-    weights, delays, errors = [None] * n_t, [None] * n_t, [None] * n_t
+    weights, delays = [None] * n_t, [None] * n_t
     for t in reversed(range(n_t)):
         weights[t] = weight_gradient(net, t, delta, cache.responses[t])
-        errors[t] = adjoint_linear(net, t, delta)
+        error = adjoint_linear(net, t, delta)
         d = net.params[t].delays
-        delays[t] = delay_gradient(errors[t], cache.spikes[t], net.epsilon_dot, d, cache.events[t])
+        delays[t] = delay_gradient(error, cache.spikes[t], net.epsilon_dot, d, cache.events[t])
         if t > 0:
-            delta = delta_layer(errors[t], cache.potentials[t], net.epsilon, d, theta, surrogate)
-    return weights, delays, errors
+            delta = delta_layer(error, cache.potentials[t], net.epsilon, d, theta, surrogate)
+    return weights, delays
+
 
 
 # 1x1, 2x2 and 3x3 blocks, one of them on the input
@@ -535,18 +539,13 @@ def test_pooled_aggregation_errors_give_the_materialized_gradients(arch, soft, m
     spec = LossSpec("precise") if mode == "precise" else LossSpec("count", 6.0, 2.0, (0.0, 30.0))
     target = poisson_spike_train(net.layer_sizes[-1], 60.0, net.sim, 5)
     e_out = output_error(net, cache, spec, target=target, label=1)
-    weights, delays, errors = _materialized_backward(net, cache, e_out, surrogate)
-    plain = backward(net, cache, e_out, surrogate)
-    traced, trace = backward(net, cache, e_out, surrogate, want_trace=True)
+    weights, delays = _materialized_backward(net, cache, e_out, surrogate)
+    grads = backward(net, cache, e_out, surrogate)
     pooled = [t for t, layer in enumerate(net.spec.layers[1:]) if layer.kind == "aggregate"]
     assert all(np.any(delays[t] != 0.0) for t in pooled)
     for t in range(net.n_transitions):
-        for grads in (plain, traced):
-            if weights[t] is None:
-                assert grads.weights[t] is None
-            else:
-                np.testing.assert_array_equal(grads.weights[t], weights[t])
-            np.testing.assert_array_equal(grads.delays[t], delays[t])
-        error = trace.errors[t].values
-        assert error.ndim == 2 and error.flags.c_contiguous and not error.flags.writeable
-        np.testing.assert_array_equal(error, errors[t].values)
+        if weights[t] is None:
+            assert grads.weights[t] is None
+        else:
+            np.testing.assert_array_equal(grads.weights[t], weights[t])
+        np.testing.assert_array_equal(grads.delays[t], delays[t])

@@ -507,3 +507,86 @@ def test_count_mode_report_holds_the_final_accuracy(tmp_path, capsys):
     report = (tmp_path / "run" / "report.txt").read_text().splitlines()
     assert report[-2:] == [f"final train loss: {row[2]}", f"final train accuracy: {row[3]}"]
     assert f"accuracy {float(row[3]):.4f}" in capsys.readouterr().out
+
+
+def _one_error_line(capsys, code, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {code}: ") and err.count("\n") == 1
+    assert str(path) in err
+    return err
+
+
+def test_simulate_reports_an_input_that_is_a_directory(tmp_path, capsys):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    (tmp_path / "events").mkdir()
+    argv = ["simulate", "--config", str(cfg), "--input", str(tmp_path / "events"),
+            "--out", str(tmp_path / "sim")]
+    assert main(argv) == 2
+    _one_error_line(capsys, 2, tmp_path / "events")
+
+
+def test_eval_reports_a_checkpoint_that_is_a_directory(tmp_path, capsys):
+    _write_dataset(tmp_path)
+    cfg = _train_cfg(tmp_path)
+    (tmp_path / "ckpt").mkdir()
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "ckpt")]) == 2
+    _one_error_line(capsys, 2, tmp_path / "ckpt")
+
+
+def test_simulate_reports_an_event_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    events = tmp_path / "in.csv"
+    events.write_bytes(b"neuron,time_ms,label\n0,2.5,0\n1,\xff,0\n")
+    argv = ["simulate", "--config", str(cfg), "--input", str(events),
+            "--out", str(tmp_path / "sim")]
+    assert main(argv) == 1
+    err = _one_error_line(capsys, 1, events)
+    assert f"{events}: line 3: not UTF-8 text" in err
+
+
+def test_train_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_bytes(_GRADCHECK_CFG.encode() + b"# caf\xe9\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    _one_error_line(capsys, 1, cfg)
+
+
+def test_train_reports_a_labels_file_that_is_not_utf8(tmp_path, capsys):
+    argv = _count_run(tmp_path)
+    (tmp_path / "labels.txt").write_bytes(b"0\n\xff\n")
+    assert main(argv) == 1
+    err = _one_error_line(capsys, 1, tmp_path / "labels.txt")
+    assert "line 2: not UTF-8 text" in err
+
+
+def test_train_rejects_the_cutoff_before_reading_data(tmp_path, capsys):
+    """No dataset is written: reading one would exit 2 instead."""
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(_BASE_CFG.format(mode="precise", epochs=1, out="run", loss_extra="")
+                   .replace("architecture = 6-5-2", "architecture = 6-5-2\ncutoff = 2"))
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "ERROR 1: cutoff must lie in (0, 1), got 2.0\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_rejects_a_nan_cutoff_before_making_its_output(tmp_path, capsys):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG.replace("gain = 1.5", "gain = 1.5\ncutoff = nan"))
+    (tmp_path / "in.csv").write_text("neuron,time_ms,label\n0,2.5,0\n")
+    argv = ["simulate", "--config", str(cfg), "--input", str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "sim")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "ERROR 1: cutoff must lie in (0, 1), got nan\n"
+    assert not (tmp_path / "sim").exists()
+
+
+def test_eval_names_the_config_of_a_malformed_architecture(tmp_path, capsys):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    save_checkpoint(load_config(cfg).build_network(), None, tmp_path / "c.slck")
+    cfg.write_text(_GRADCHECK_CFG.replace("4-6-3", "4-6-x"))
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "c.slck")]) == 1
+    err = _one_error_line(capsys, 1, cfg)
+    assert err == f"ERROR 1: {cfg}: [network] architecture: malformed layer token 'x'\n"

@@ -544,3 +544,41 @@ def test_checkpoint_v1_bytes_load_and_save_back_unchanged(tmp_path):
     assert resaved.read_bytes() == blob
     save_checkpoint(net, state, resaved, 11)
     assert resaved.read_bytes() == blob
+
+
+def _replace_once(old, new):
+    def edit(blob):
+        assert blob.count(old) == 1
+        return blob.replace(old, new)
+    return edit
+
+
+def _net_constant(index, value):
+    """Rewrite field ``index`` of the net record (theta, tau_s, tau_r,
+    ts_ms, t_ms, cutoff), which follows magic, version and "4-6-3"."""
+    offset = 4 + 2 + 4 + len("4-6-3") + 8 * index
+    return lambda blob: blob[:offset] + struct.pack("<d", value) + blob[offset + 8 :]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_replace_once(b"adam", b"adxm"), "unknown optimizer 'adxm'"),
+    (_replace_once(b"4-6-3", b"4-6-x"), "malformed layer token 'x'"),
+    (_net_constant(0, np.nan), "theta must be positive and finite, got nan"),
+    (_net_constant(3, 0.7), "t_ms=30.0 is not an integer multiple of ts_ms=0.7"),
+    (_net_constant(5, 5.0), "cutoff must lie in (0, 1), got 5.0"),
+    (_replace_once(struct.pack("<d", 0.004), struct.pack("<d", np.nan)),
+     "learning_rate = nan outside [0, inf)"),
+    (_replace_once(b"4-6-3", b"4-6-\xff"), "'utf-8' codec can't decode byte 0xff in position 4"),
+    (lambda blob: blob[:100], "checkpoint truncated"),
+], ids=["method", "architecture", "theta", "ts_ms", "cutoff", "learning_rate", "utf-8", "cut"])
+def test_every_checkpoint_fault_names_the_file(tmp_path, edit, message):
+    """Settings that the constructors reject, text that does not decode and
+    a short file all raise one FormatError that names the checkpoint."""
+    net = _net(seed=9, arch="4-6-3")
+    state = OptimizerState.adam(learning_rate=0.004)
+    step(state, net, Gradients.zeros_like(net))
+    path = tmp_path / "c.slck"
+    save_checkpoint(net, state, path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(FormatError, match="^" + re.escape(f"{path}: {message}")):
+        load_checkpoint(path)

@@ -72,15 +72,12 @@ def _fresh(net):
 def _pass(net, train, spec=SPEC):
     cache = forward(net, train)
     e = output_error(net, cache, spec, label=1)
-    grads, trace = backward(
-        net, cache, e, SurrogateConfig.for_theta(net.neuron.theta), True
-    )
-    return cache, grads, trace
+    return cache, backward(net, cache, e, SurrogateConfig.for_theta(net.neuron.theta))
 
 
-def _arrays(cache, grads, trace):
-    signals = cache.spikes + cache.potentials[1:] + trace.errors
-    signals += [s for s in cache.responses + trace.deltas if s is not None]
+def _arrays(cache, grads):
+    signals = cache.spikes + cache.potentials[1:]
+    signals += [s for s in cache.responses if s is not None]
     arrays = [s.values for s in signals] + [e for e in cache.events if e is not None]
     return arrays + [a for a in grads.weights + grads.delays if a is not None]
 
