@@ -76,9 +76,9 @@ def _pass(net, train, spec=SPEC):
 
 
 def _arrays(cache, grads):
-    signals = cache.spikes + cache.potentials[1:]
-    signals += [s for s in cache.responses if s is not None]
-    arrays = [s.values for s in signals] + [e for e in cache.events if e is not None]
+    signals = cache.spikes + cache.potentials[1:] + cache.responses
+    arrays = [s.values for s in signals if s is not None]
+    arrays += [e for e in cache.events if e is not None]
     return arrays + [a for a in grads.weights + grads.delays if a is not None]
 
 
