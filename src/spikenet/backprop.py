@@ -25,7 +25,7 @@ from .errors import NumericError, ParameterError, ShapeError, require_positive
 from .forward import SignalCache, SurrogateConfig, forward
 from .kernels import Kernel, Workspace, convolve_values, correlate_values, correlate_view, workspace
 from .losses import LossSpec, error_count, error_precise, loss_value, output_credit
-from .signals import SampledSignal, SpikeTrain
+from .signals import SampledSignal, SpikeEvents, SpikeTrain
 from .topology import Network, adjoint_linear, block_view, weight_gradient
 
 _RHO_BLOCK = 1 << 14  # samples of rho built at a time, so none is the size of a signal
@@ -144,7 +144,8 @@ def delay_gradient(
     :func:`convolve_values`; ``out`` receives the result.  The values of
     ``e`` may be a spread pooled error, as in :func:`delta_layer`.
     """
-    adot = convolve_values(s.values, epsilon_dot, delays, events, work, keep=False)
+    source = s if isinstance(s, SpikeEvents) else s.values
+    adot = convolve_values(source, epsilon_dot, delays, events, work, keep=False)
     product = adot.reshape(e.values.shape)  # a view: adot is C-contiguous
     product *= e.values
     out = adot.sum(axis=1, out=out)

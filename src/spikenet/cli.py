@@ -27,6 +27,7 @@ from .signals import (
     read_events,
     write_events,
 )
+from .topology import render_architecture
 from .trainer import evaluate, load_checkpoint, train
 
 _CONFIG_REFERENCE = """\
@@ -106,9 +107,28 @@ def _write_report(path: Path, rc: RunConfig, epochs: int, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _load_matching_checkpoint(args, rc: RunConfig):
+    """(net, epoch) of --checkpoint, whose architecture, [simulation],
+    [neuron] and cutoff must equal the config's."""
+    net, _, epoch = load_checkpoint(args.checkpoint)
+    architectures = render_architecture(net.spec), render_architecture(rc.spec)
+    fields = [("network", "architecture", *architectures)]
+    sections = ("simulation", net.sim, rc.sim), ("neuron", net.neuron, rc.neuron)
+    for section, held, given in sections:
+        fields += [(section, key, value, getattr(given, key)) for key, value in vars(held).items()]
+    fields.append(("network", "cutoff", net.cutoff, rc.cutoff))
+    for section, key, held, given in fields:
+        if held != given:
+            raise ConfigError(
+                f"{args.config}: [{section}] {key} = {given}, but checkpoint "
+                f"{args.checkpoint} holds {held}"
+            )
+    return net, epoch
+
+
 def cmd_eval(args) -> int:
     rc = load_config(args.config)
-    net, _, epoch = load_checkpoint(args.checkpoint)
+    net, epoch = _load_matching_checkpoint(args, rc)
     cfg = rc.train_config(threads=args.threads)
     dataset = rc.load_dataset("eval")
     if dataset is None:
@@ -124,7 +144,7 @@ def cmd_eval(args) -> int:
 def cmd_simulate(args) -> int:
     rc = load_config(args.config)
     if args.checkpoint:
-        net, _, _ = load_checkpoint(args.checkpoint)
+        net, _ = _load_matching_checkpoint(args, rc)
     else:
         net = rc.build_network(args.seed)
     sset = read_events(args.input, neuron_count=net.layer_sizes[0])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, require_positive
 from .kernels import Kernel, convolve_values, workspace
-from .signals import SampledSignal, SpikeTrain, event_bins, spikes_to_signal
+from .signals import SampledSignal, SpikeEvents, SpikeTrain, event_bins, spikes_to_signal
 from .topology import Network, apply_linear
 
 @dataclass(frozen=True)
@@ -67,8 +67,10 @@ class SignalCache:
     potential (None for the input layer), and ``responses[l]`` (l < n_layers)
     the delayed kernel-filtered spike response feeding the next layer, or
     None where that layer is a frozen aggregation, whose weight gradient
-    needs no response.  Backward keeps each hidden layer's credit in the
-    pass's kernel workspace, not in the cache.
+    needs no response.  Past the input, hard-mode spikes are held only as
+    their events (:class:`SpikeEvents`): each ``values`` read builds a new
+    raster, and the kernels build theirs in the pass's workspace.  Backward
+    keeps each hidden layer's credit in that workspace, not in the cache.
     """
 
     spikes: list
@@ -130,29 +132,27 @@ _WALK_SAMPLES = 1 << 15
 _WALK_PER_BIN = 12
 
 
-def simulate_layer(u_ff: SampledSignal, nu: Kernel, theta: float) -> tuple:
-    """Run threshold-and-refract dynamics on a feedforward potential.
+def simulate_layer(u: np.ndarray, nu: Kernel, theta: float) -> tuple:
+    """Run threshold-and-refract dynamics on a feedforward potential ``u``,
+    a new (channels, n_samples) float64 array, which becomes the recorded
+    potential in place.
 
-    Returns (spike signal, recorded potential, events): the events are the
-    flat indices (neuron * n_samples + bin) of the spikes in bin order.  A
-    neuron spikes at the first bin where its accumulated potential reaches
-    theta; each spike adds the refractory kernel from its bin onward.
+    Returns (spikes, recorded potential, events): the events are the flat
+    indices (neuron * n_samples + bin) of the spikes in bin order, and the
+    spikes are :class:`SpikeEvents` holding them.  A neuron spikes at the
+    first bin where its accumulated potential reaches theta; each spike
+    adds the refractory kernel from its bin onward.
 
     Two loops agree bit for bit: a small layer with few samples at or above
     theta walks those candidate samples, any other steps through its bins.
     """
-    channels, n = u_ff.channels, u_ff.n_samples
-    ts = u_ff.ts_ms
-    u = u_ff.values.copy()
     candidates = (u >= theta).reshape(-1).nonzero()[0] if u.size <= _WALK_SAMPLES else None
-    if candidates is not None and len(candidates) < _WALK_PER_BIN * n:
+    if candidates is not None and len(candidates) < _WALK_PER_BIN * u.shape[1]:
         events = _threshold_walk(u, nu.samples, theta, candidates)
     else:
         events = _threshold_bins(u, nu.samples, theta)
-    events.flags.writeable = False
-    s = np.zeros((channels, n))
-    s.reshape(-1)[events] = 1.0 / ts
-    return SampledSignal._adopt(s, ts), SampledSignal._adopt(u, ts), events
+    ts = nu.ts_ms
+    return SpikeEvents(events, u.shape, ts), SampledSignal._adopt(u, ts), events
 
 
 def forward(
@@ -190,16 +190,19 @@ def forward(
             if not np.isfinite(delays).all():
                 c = np.flatnonzero(~np.isfinite(delays))[0]
                 raise NumericError(f"non-finite delay in transition {t} at neuron {c}")
+            source = cache.spikes[t]
+            source = source if isinstance(source, SpikeEvents) else source.values
             response = convolve_values(
-                cache.spikes[t].values, epsilon, delays, cache.events[t], work, keep=not frozen
+                source, epsilon, delays, cache.events[t], work, keep=not frozen
             )
             a = SampledSignal._adopt(response, s.ts_ms)
             cache.responses.append(None if frozen else a)
-            u_ff = apply_linear(net, t, a)
+            u = apply_linear(net, t, a)
             if surrogate is None:
-                s_next, u_next, events = simulate_layer(u_ff, nu, theta)
+                s_next, u_next, events = simulate_layer(u, nu, theta)
             else:
-                s_next, u_next, events = soft_spike(u_ff, theta, surrogate), u_ff, None
+                u_next = SampledSignal._adopt(u, s.ts_ms)
+                s_next, events = soft_spike(u_next, theta, surrogate), None
             cache.spikes.append(s_next)
             cache.events.append(events)
             cache.potentials.append(u_next)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, ParameterError, require_positive
-from .signals import SampledSignal
+from .signals import SampledSignal, SpikeEvents
 
 DEFAULT_CUTOFF = 1e-6  # kernel truncation relative to the peak, unless set
 
@@ -239,16 +239,21 @@ def _window_sum(values, table: np.ndarray, work: Workspace, keep: bool, lead: bo
     in place.  ``values`` is (channels, n_samples), or a (..., n_samples)
     view whose leading axes flatten in C order to the channels, such as a
     pooled error spread over its blocks with stride 0: the work arrays
-    then take the view's axes, so it is never materialized.  The
+    then take the view's axes, so it is never materialized.  It may also
+    be :class:`SpikeEvents`, whose raster is built in ``work``.  The
     (channels, n_samples) result lives in ``work`` unless ``keep``.
     """
     (channels, taps), n_samples = table.shape, values.shape[-1]
     inner = n_samples - taps + 1  # outputs whose windows lie inside values
     shapes = [(channels, taps), (channels, 2 * taps - 2)]
     shapes += [] if keep else [(channels, n_samples)]
-    taps_copy, edge, *out = work.take(*((shape, np.float64) for shape in shapes))
+    raster = isinstance(values, SpikeEvents)
+    shapes += [(channels, n_samples)] if raster else []
+    taps_copy, edge, *rest = work.take(*((shape, np.float64) for shape in shapes))
     taps_copy[...] = table  # contiguous: a reversed view makes einsum 1.5x slower
-    out = out[0] if out else np.empty((channels, n_samples))
+    if raster:
+        values = values.fill(rest.pop())
+    out = np.empty((channels, n_samples)) if keep else rest[0]
     edge.fill(0.0)
     if values.ndim == 2:
         values = np.ascontiguousarray(values)
@@ -281,20 +286,23 @@ def convolve_values(
 ) -> np.ndarray:
     """out[c, n] = Ts * sum_m k(m*Ts - d_c) * values[c, n - m]; no sign check.
 
+    ``values`` is a (channels, n_samples) array or :class:`SpikeEvents`.
     ``events``, if given, holds the flat index (c * n_samples + n) of every
-    nonzero sample of ``values`` exactly once.  Below 1/16 density the output
-    is then built by scattering each event's delayed kernel taps; the
-    scatter and the dense window sum group their additions differently, so
-    they agree to rounding, not bit for bit.
+    nonzero sample of ``values`` exactly once; SpikeEvents bring their own.
+    Below 1/16 density the output is then built by scattering each event's
+    delayed kernel taps; the scatter and the dense window sum group their
+    additions differently, so they agree to rounding, not bit for bit.
 
-    ``work``, a :class:`Workspace`, supplies tap tables and temporaries;
-    without ``keep`` the dense sum's result lives there too, valid until
-    its next use.
+    ``work``, a :class:`Workspace`, supplies tap tables and temporaries,
+    the raster of SpikeEvents included; without ``keep`` the dense sum's
+    result lives there too, valid until its next use.
     """
     channels, n_samples = values.shape
     delays = _delay_vector(delays, channels)
     taps = _taps(kernel, delays, n_samples)
     work = Workspace() if work is None else work
+    spikes = isinstance(values, SpikeEvents)
+    events = values.events if spikes else events
     if events is not None and len(events) < _SCATTER_DENSITY * values.size:
         kd = work.delayed_taps(kernel, delays, taps)
         shape = (len(events), taps)
@@ -303,7 +311,7 @@ def convolve_values(
         # taps past the row's last bin go to one dump bin past the signal
         rows = events // n_samples
         kd.take(rows, axis=0, out=weights, mode="clip")
-        weights *= values.reshape(-1)[events][:, None]
+        weights *= 1.0 / values.ts_ms if spikes else values.reshape(-1)[events][:, None]
         np.add(events[:, None], np.arange(taps), out=index)
         np.putmask(index, index >= (rows[:, None] + 1) * n_samples, values.size)
         out = np.bincount(

@@ -2,18 +2,21 @@
 
 Unknown sections or keys are rejected so typos fail loudly, and every
 value is cast as the file loads.  Numeric validation is delegated to the
-module constructors, which raise with the offending field named.
+module constructors, which raise with the offending field named;
+:func:`load_config` reports each such error with the file and section.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError, ParseError, RangeError
 from .forward import SurrogateConfig
-from .kernels import DEFAULT_CUTOFF, NeuronConfig
+from .kernels import DEFAULT_CUTOFF, NeuronConfig, require_cutoff
 from .losses import LossSpec, interval_bins
 from .optim import OptimizerState
 from .signals import SimConfig, SpikeTrain, read_events, read_text
@@ -129,11 +132,6 @@ class RunConfig:
         if prefix + "inputs" not in self.data:
             return None
         counts = self.spec.neuron_counts
-        if not 1 <= self.data.get("classes", 1) <= counts[-1]:
-            raise ConfigError(
-                f"[data] classes = {self.data['classes']} outside 1..{counts[-1]}, "
-                "the output layer's width"
-            )
         inputs_path = self._resolve(prefix + "inputs")
         if self.train.loss.mode == "precise":
             if prefix + "targets" not in self.data:
@@ -179,10 +177,20 @@ def _read_labels(path: Path, classes: int) -> list:
     return labels
 
 
-def _required(values: dict, section: str, key: str):
+def _required(path: Path, values: dict, section: str, key: str):
     if key not in values[section]:
-        raise ConfigError(f"missing required key '{key}' in section [{section}]")
+        raise ConfigError(f"{path}: missing required key '{key}' in section [{section}]")
     return values[section][key]
+
+
+@contextmanager
+def _located(path: Path, section: str):
+    """Raise the ParameterError or RangeError of a value read from
+    ``section`` as a ConfigError naming the file and the section."""
+    try:
+        yield
+    except (ParameterError, RangeError) as exc:
+        raise ConfigError(f"{path}: [{section}] {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -206,52 +214,69 @@ def load_config(path: str | Path) -> RunConfig:
             try:
                 values[section][key] = _KEYS[section][key](raw)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+                raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
 
-    sim = SimConfig(
-        t_ms=_required(values, "simulation", "t_ms"),
-        ts_ms=_required(values, "simulation", "ts_ms"),
-    )
-    neuron = NeuronConfig(
-        theta=values["neuron"].get("theta", 10.0),
-        tau_s=values["neuron"].get("tau_s", 1.0),
-        tau_r=values["neuron"].get("tau_r", 1.0),
-    )
+    with _located(path, "simulation"):
+        sim = SimConfig(
+            t_ms=_required(path, values, "simulation", "t_ms"),
+            ts_ms=_required(path, values, "simulation", "ts_ms"),
+        )
+    with _located(path, "neuron"):
+        neuron = NeuronConfig(
+            theta=values["neuron"].get("theta", 10.0),
+            tau_s=values["neuron"].get("tau_s", 1.0),
+            tau_r=values["neuron"].get("tau_r", 1.0),
+        )
     keys = values["surrogate"]
-    if "beta" in keys:
-        surrogate = SurrogateConfig(**keys)
-    else:
-        surrogate = SurrogateConfig.for_theta(neuron.theta, **keys)
+    with _located(path, "surrogate"):
+        if "beta" in keys:
+            surrogate = SurrogateConfig(**keys)
+        else:
+            surrogate = SurrogateConfig.for_theta(neuron.theta, **keys)
     loss = values["loss"]
     mode = loss.get("mode", "precise")
-    if mode == "count":
-        try:
+    with _located(path, "loss"):
+        if mode == "count":
             loss = LossSpec(
                 mode="count",
-                true_count=_required(values, "loss", "true_count"),
-                false_count=_required(values, "loss", "false_count"),
+                true_count=_required(path, values, "loss", "true_count"),
+                false_count=_required(path, values, "loss", "false_count"),
                 interval=loss.get("interval", (0.0, sim.t_ms)),
             )
             interval_bins(loss.interval, sim)
-        except (ParameterError, RangeError) as exc:
-            raise ConfigError(f"[loss] {exc}") from exc
-    else:
-        loss = LossSpec(mode=mode)
-    architecture = _required(values, "network", "architecture")
+        else:
+            loss = LossSpec(mode=mode)
+    network = values["network"]
+    architecture = _required(path, values, "network", "architecture")
     try:
         spec = parse_architecture(architecture)
     except ParseError as exc:
         raise ConfigError(f"{path}: [network] architecture: {exc}") from exc
+    gain, cutoff = network.get("gain"), network.get("cutoff", DEFAULT_CUTOFF)
+    with _located(path, "network"):
+        require_cutoff(cutoff)
+        if gain is not None and not math.isfinite(gain):
+            raise ParameterError(f"gain must be finite, got {gain!r}")
+    width = spec.neuron_counts[-1]
+    if not 1 <= values["data"].get("classes", 1) <= width:
+        raise ConfigError(
+            f"{path}: [data] classes = {values['data']['classes']} outside 1..{width}, "
+            "the output layer's width"
+        )
+    with _located(path, "optimizer"):
+        optimizer = OptimizerState(**values["optimizer"])
     values["train"].setdefault("epochs", 100)
+    with _located(path, "train"):
+        train = TrainConfig(loss=loss, surrogate=surrogate, **values["train"])
     return RunConfig(
         architecture=architecture,
         spec=spec,
         sim=sim,
         neuron=neuron,
-        gain=values["network"].get("gain"),
-        cutoff=values["network"].get("cutoff", DEFAULT_CUTOFF),
-        optimizer=OptimizerState(**values["optimizer"]),
-        train=TrainConfig(loss=loss, surrogate=surrogate, **values["train"]),
+        gain=gain,
+        cutoff=cutoff,
+        optimizer=optimizer,
+        train=train,
         data=values["data"],
         out_dir=values["output"].get("dir", "runs"),
         base_dir=path.parent.resolve(),

@@ -228,6 +228,47 @@ class SampledSignal:
         return self.values.shape[1]
 
 
+class SpikeEvents(SampledSignal):
+    """Spikes of amplitude 1/Ts held only as their ``events``, the read-only
+    flat indices (channel * n_samples + bin) of the nonzero samples.
+
+    Each ``values`` read builds a new read-only raster.  ``shape`` and
+    ``size`` are the raster's, and ``__array__`` builds it, so array code
+    (a convolution's nonzero count, say) reads the signal as its raster.
+    """
+
+    def __init__(self, events: np.ndarray, shape: tuple, ts_ms: float):
+        events.flags.writeable = False
+        self.__dict__.update(events=events, shape=shape, ts_ms=ts_ms)
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the raster into ``out``, a float64 array of its shape; return it."""
+        out.fill(0.0)
+        out.reshape(-1)[self.events] = 1.0 / self.ts_ms
+        return out
+
+    @property
+    def values(self) -> np.ndarray:
+        raster = self.fill(np.empty(self.shape))
+        raster.flags.writeable = False
+        return raster
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.values, dtype)
+
+    @property
+    def channels(self) -> int:
+        return self.shape[0]
+
+    @property
+    def n_samples(self) -> int:
+        return self.shape[1]
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+
 def poisson_spike_train(
     channels: int, rate_hz: float, config: SimConfig, seed: int
 ) -> SpikeTrain:

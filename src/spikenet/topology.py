@@ -337,9 +337,10 @@ def _conv_rows(x: np.ndarray, k: int, out_w: int):
         yield i, block.reshape(c * k * k, -1)
 
 
-def apply_linear(net: Network, t: int, a: SampledSignal) -> SampledSignal:
+def apply_linear(net: Network, t: int, a: SampledSignal) -> np.ndarray:
     """Per-bin linear map of transition t: dense product, valid convolution,
-    or non-overlapping block sum for aggregation."""
+    or non-overlapping block sum for aggregation, as a new (neurons,
+    n_samples) array that the caller may overwrite."""
     src, dst = net.spec.shapes[t], net.spec.shapes[t + 1]
     if a.channels != src.neurons:
         raise ShapeError(f"transition {t}: {a.channels} channels, expected {src.neurons}")
@@ -364,7 +365,7 @@ def apply_linear(net: Network, t: int, a: SampledSignal) -> SampledSignal:
         raise NumericError(
             f"non-finite potential in transition {t} at neuron {int(c)}, bin {int(n)}"
         )
-    return SampledSignal._adopt(out, a.ts_ms)
+    return out
 
 
 def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:

@@ -162,7 +162,7 @@ def test_criterion_3_adjointness():
             t = int(rng.integers(0, net.n_transitions)) if kind == "dense" else 0
             a = SampledSignal(rng.normal(size=(net.layer_sizes[t], 8)), 1.0)
             d = SampledSignal(rng.normal(size=(net.layer_sizes[t + 1], 8)), 1.0)
-            lhs = float(np.sum(apply_linear(net, t, a).values * d.values))
+            lhs = float(np.sum(apply_linear(net, t, a) * d.values))
             rhs = float(np.sum(a.values * adjoint_linear(net, t, d).values))
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
     elapsed = time.monotonic() - t0

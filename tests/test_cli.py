@@ -209,7 +209,7 @@ def test_non_integer_class_count_exits_1(tmp_path, capsys):
     cfg.write_text(text)
     code = main(["train", "--config", str(cfg)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("ERROR 1: [data] classes = 'ten':")
+    assert capsys.readouterr().err.startswith(f"ERROR 1: {cfg}: [data] classes = 'ten':")
 
 
 def _count_run(tmp_path, labels="0\n2\n", loss_extra="", data_extra=""):
@@ -245,14 +245,15 @@ def test_train_rejects_a_label_outside_the_output_layer(tmp_path, capsys):
 def test_train_rejects_classes_above_the_output_width(tmp_path, capsys):
     assert main(_count_run(tmp_path, data_extra="classes = 7")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("ERROR 1: [data] classes = 7 outside 1..3") and err.count("\n") == 1
+    cfg = tmp_path / "count.cfg"
+    assert err.startswith(f"ERROR 1: {cfg}: [data] classes = 7 outside 1..3") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 
 def test_train_rejects_an_interval_outside_the_window_before_reading_data(tmp_path, capsys):
     assert main(_count_run(tmp_path, loss_extra="interval = 0, 50")) == 1
     err = capsys.readouterr().err
-    assert err == "ERROR 1: [loss] interval (0.0, 50.0) outside [0, 30.0] ms\n"
+    assert err == f"ERROR 1: {tmp_path / 'count.cfg'}: [loss] interval (0.0, 50.0) outside [0, 30.0] ms\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -263,7 +264,7 @@ def test_train_rejects_a_non_finite_count_before_reading_data(tmp_path, capsys, 
     cfg.write_text(cfg.read_text().replace("true_count = 4", f"true_count = {value}"))
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == f"ERROR 1: [loss] count loss true_count must be finite, got {value}\n"
+    assert err == f"ERROR 1: {cfg}: [loss] count loss true_count must be finite, got {value}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -457,7 +458,7 @@ def test_simulate_rejects_an_infinite_window(tmp_path, capsys):
                  "--out", str(tmp_path / "sim")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err == "ERROR 1: t_ms=inf, ts_ms=1.0 is not a finite grid\n"
+    assert err == f"ERROR 1: {cfg}: [simulation] t_ms=inf, ts_ms=1.0 is not a finite grid\n"
 
 
 def test_simulate_rejects_a_non_finite_time_constant(tmp_path, capsys):
@@ -467,7 +468,7 @@ def test_simulate_rejects_a_non_finite_time_constant(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg), "--input", str(tmp_path / "in.csv"),
                  "--out", str(tmp_path / "sim")])
     assert code == 1
-    assert capsys.readouterr().err == "ERROR 1: tau_s must be positive and finite, got nan\n"
+    assert capsys.readouterr().err == f"ERROR 1: {cfg}: [neuron] tau_s must be positive and finite, got nan\n"
 
 
 def test_gradcheck_fails_when_it_compared_nothing(tmp_path, capsys):
@@ -567,7 +568,7 @@ def test_train_rejects_the_cutoff_before_reading_data(tmp_path, capsys):
     cfg.write_text(_BASE_CFG.format(mode="precise", epochs=1, out="run", loss_extra="")
                    .replace("architecture = 6-5-2", "architecture = 6-5-2\ncutoff = 2"))
     assert main(["train", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == "ERROR 1: cutoff must lie in (0, 1), got 2.0\n"
+    assert capsys.readouterr().err == f"ERROR 1: {cfg}: [network] cutoff must lie in (0, 1), got 2.0\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -578,7 +579,7 @@ def test_simulate_rejects_a_nan_cutoff_before_making_its_output(tmp_path, capsys
     argv = ["simulate", "--config", str(cfg), "--input", str(tmp_path / "in.csv"),
             "--out", str(tmp_path / "sim")]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "ERROR 1: cutoff must lie in (0, 1), got nan\n"
+    assert capsys.readouterr().err == f"ERROR 1: {cfg}: [network] cutoff must lie in (0, 1), got nan\n"
     assert not (tmp_path / "sim").exists()
 
 
@@ -590,3 +591,61 @@ def test_eval_names_the_config_of_a_malformed_architecture(tmp_path, capsys):
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "c.slck")]) == 1
     err = _one_error_line(capsys, 1, cfg)
     assert err == f"ERROR 1: {cfg}: [network] architecture: malformed layer token 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, located",
+    [
+        ("gain = 1.5", "gain = 1.5\ncutoff = 2", "[network] cutoff must lie in (0, 1), got 2.0"),
+        ("seed = 0", "seed = 0\n[data]\nclasses = ten",
+         "[data] classes = 'ten': invalid literal for int() with base 10: 'ten'"),
+        ("seed = 0", "seed = 0\n[loss]\nmode = count\ntrue_count = 4\nfalse_count = 1\n"
+         "interval = 0, 50",
+         "[loss] interval (0.0, 50.0) outside [0, 30.0] ms"),
+        ("ts_ms = 1", "ts_ms = 0", "[simulation] t_ms and ts_ms must be positive"),
+        ("alpha = 10", "alpha = -1", "[surrogate] alpha must be positive and finite, got -1.0"),
+        ("seed = 0", "seed = 0\n[optimizer]\nbeta1 = 1",
+         "[optimizer] beta1 = 1.0 outside [0, 1)"),
+        ("seed = 0", "seed = 0\nbatch_size = 0",
+         "[train] epochs must be >= 0, batch_size and threads must be >= 1"),
+    ],
+    ids=["cutoff", "classes", "interval", "simulation", "surrogate", "optimizer", "train"],
+)
+def test_a_bad_config_value_names_the_file_and_its_section(tmp_path, capsys, old, new, located):
+    """eval builds no network, so a cutoff is checked as the file loads."""
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    save_checkpoint(load_config(cfg).build_network(), None, tmp_path / "c.slck")
+    cfg.write_text(_GRADCHECK_CFG.replace(old, new))
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "c.slck")]) == 1
+    assert capsys.readouterr().err == f"ERROR 1: {cfg}: {located}\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        ("t_ms = 30", "t_ms = 20", "[simulation] t_ms = 20.0, but checkpoint {} holds 30.0"),
+        ("architecture = 4-6-3", "architecture = 6-5-2",
+         "[network] architecture = 6-5-2, but checkpoint {} holds 4-6-3"),
+        ("tau_r = 3", "tau_r = 2", "[neuron] tau_r = 2.0, but checkpoint {} holds 3.0"),
+        ("gain = 1.5", "gain = 1.5\ncutoff = 0.001",
+         "[network] cutoff = 0.001, but checkpoint {} holds 1e-06"),
+    ],
+    ids=["t_ms", "architecture", "tau_r", "cutoff"],
+)
+def test_a_config_that_disagrees_with_the_checkpoint_is_named(
+    tmp_path, capsys, command, old, new, field
+):
+    """Checked before any data is read: the data files here do not exist."""
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    ckpt = tmp_path / "c.slck"
+    save_checkpoint(load_config(cfg).build_network(), None, ckpt)
+    cfg.write_text(_GRADCHECK_CFG.replace(old, new) + "[data]\ninputs = gone.csv\ntargets = gone.csv\n")
+    argv = [command, "--config", str(cfg), "--checkpoint", str(ckpt)]
+    if command == "simulate":
+        argv += ["--input", str(tmp_path / "gone.csv"), "--out", str(tmp_path / "sim")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"ERROR 1: {cfg}: {field.format(ckpt)}\n"
+    assert not (tmp_path / "sim").exists()

@@ -83,7 +83,7 @@ def test_conv_paths_equal_einsum_references(geometry):
     a = SampledSignal(x.reshape(-1, bins), 0.5)
     delta = SampledSignal(d.reshape(-1, bins), 0.5)
 
-    mapped = apply_linear(net, 0, a).values
+    mapped = apply_linear(net, 0, a)
     assert _close(mapped, ref_conv_apply(w, x).reshape(-1, bins))
     back = adjoint_linear(net, 0, delta).values
     assert _close(back, ref_conv_adjoint(w, d).reshape(-1, bins))

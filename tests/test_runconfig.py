@@ -87,7 +87,7 @@ interval = 5, 35
 def test_count_interval_outside_the_window_is_rejected_on_load(tmp_path, interval):
     """The window check of losses.interval_bins runs as the file loads,
     not at the first sample."""
-    with pytest.raises(ConfigError, match=r"^\[loss\] interval \(.*\) outside \[0, 30.0\] ms"):
+    with pytest.raises(ConfigError, match=r"run\.cfg: \[loss\] interval \(.*\) outside \[0, 30.0\] ms"):
         load_config(_write(tmp_path, f"""
 [network]
 architecture = 10-4
@@ -335,5 +335,5 @@ def test_count_dataset_rejects_classes_outside_the_output_width(tmp_path, classe
     (tmp_path / "labels.txt").write_text("0\n2\n")
     path = _count_config(tmp_path, "inputs.csv")
     path.write_text(path.read_text() + f"classes = {classes}\n")
-    with pytest.raises(ConfigError, match=rf"^\[data\] classes = {classes} outside 1\.\.3"):
-        load_config(path).load_dataset()
+    with pytest.raises(ConfigError, match=rf"run\.cfg: \[data\] classes = {classes} outside 1\.\.3"):
+        load_config(path)

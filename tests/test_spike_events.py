@@ -9,7 +9,6 @@ from conftest import ref_convolve, ref_epsilon, ref_epsilon_dot, truncate_ref
 from spikenet import (
     LossSpec,
     NeuronConfig,
-    SampledSignal,
     SimConfig,
     SpikeTrain,
     SurrogateConfig,
@@ -105,8 +104,7 @@ def test_simulate_layer_events_are_its_spikes(seed):
     rng = np.random.default_rng(seed)
     theta, ts = 10.0, 0.5
     nu = make_nu(NeuronConfig(theta, 2.0, 1.0), ts)
-    u_ff = SampledSignal(rng.uniform(0.0, 12.0, size=(7, 40)), ts)
-    s, _, events = simulate_layer(u_ff, nu, theta)
+    s, _, events = simulate_layer(rng.uniform(0.0, 12.0, size=(7, 40)), nu, theta)
     n = s.n_samples
     np.testing.assert_array_equal(np.sort(events), np.flatnonzero(s.values))
     assert np.all(np.diff(events % n) >= 0)  # bin order
@@ -167,3 +165,32 @@ def test_forward_backward_agree_with_and_without_events(kind, monkeypatch):
     for a, b in pairs:
         if a is not None:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_hard_spikes_are_held_as_their_events(kind):
+    """Past the input, every hard-mode layer builds a new read-only raster
+    from its events at each read; soft-mode layers keep their continuous
+    rasters."""
+    arch, rate, gain = NETS[kind]
+    sim = SimConfig(40.0, 1.0)
+    net = init_network(
+        parse_architecture(arch), NeuronConfig(5.0, 2.0, 1.0), sim, seed=3, gain=gain
+    )
+    train = poisson_spike_train(net.layer_sizes[0], rate, sim, 5)
+    hard = forward(net, train)
+    soft = forward(net, train, SurrogateConfig.for_theta(net.neuron.theta))
+    assert all(len(events) for events in hard.events[:-1])
+    for layer in range(1, len(net.layer_sizes)):
+        spikes = hard.spikes[layer]
+        want = np.zeros((net.layer_sizes[layer], sim.n_samples))
+        want.reshape(-1)[hard.events[layer]] = 1.0 / sim.ts_ms
+        raster = spikes.values
+        np.testing.assert_array_equal(raster, want)
+        assert raster.dtype == np.float64 and raster.flags.c_contiguous
+        assert not raster.flags.writeable
+        assert spikes.values is not raster  # built at each read
+        assert (spikes.channels, spikes.n_samples) == want.shape
+        continuous = soft.spikes[layer].values
+        assert soft.events[layer] is None and soft.spikes[layer].values is continuous
+        assert np.any((continuous != 0.0) & (continuous != 1.0 / sim.ts_ms))
