@@ -64,14 +64,6 @@ def _add_config(sub, *overrides) -> None:
         sub.add_argument("--" + name, **_OVERRIDES[name])
 
 
-def _out_dir(args, rc: RunConfig) -> Path:
-    """--out wins as given; the config value resolves next to the config."""
-    if args.out:
-        return Path(args.out)
-    out = Path(rc.out_dir)
-    return out if out.is_absolute() else rc.base_dir / out
-
-
 def cmd_train(args) -> int:
     rc = load_config(args.config)
     cfg = rc.train_config(epochs=args.epochs, seed=args.seed, threads=args.threads)
@@ -79,9 +71,9 @@ def cmd_train(args) -> int:
     optim_state = rc.build_optimizer()
     train_set = rc.load_dataset("train")
     if train_set is None:
-        raise ConfigError("no 'inputs' key in [data]; nothing to train on")
+        raise ConfigError(f"{rc.path}: no 'inputs' key in [data]; nothing to train on")
     eval_set = rc.load_dataset("eval")
-    out = _out_dir(args, rc)
+    out = Path(args.out) if args.out else rc.out_dir
     rows = train(net, optim_state, train_set, cfg, out_dir=out, eval_set=eval_set)
     _write_report(out / "report.txt", rc, cfg.epochs, rows)
     last = rows[-1]
@@ -134,7 +126,7 @@ def cmd_eval(args) -> int:
     if dataset is None:
         dataset = rc.load_dataset("train")
     if dataset is None:
-        raise ConfigError("no eval_inputs or inputs in [data]; nothing to evaluate")
+        raise ConfigError(f"{rc.path}: no eval_inputs or inputs in [data]; nothing to evaluate")
     row = evaluate(net, dataset, cfg, epoch=epoch)
     acc = "" if row.accuracy is None else f", accuracy {row.accuracy:.4f}"
     print(f"eval loss {row.loss:.6g}{acc} ({len(dataset)} samples, epoch {epoch})")
@@ -146,9 +138,9 @@ def cmd_simulate(args) -> int:
     if args.checkpoint:
         net, _ = _load_matching_checkpoint(args, rc)
     else:
-        net = rc.build_network(args.seed)
+        net = rc.build_network(rc.train_config(seed=args.seed).seed)
     sset = read_events(args.input, neuron_count=net.layer_sizes[0])
-    out = _out_dir(args, rc)
+    out = Path(args.out) if args.out else rc.out_dir
 
     for i, train_in in enumerate(sset.trains):
         sample_dir = out if len(sset.trains) == 1 else out / f"sample{i:04d}"
@@ -172,7 +164,7 @@ def cmd_simulate(args) -> int:
 def cmd_gradcheck(args) -> int:
     require_positive(h=args.h, tol=args.tol)
     rc = load_config(args.config)
-    seed = rc.train.seed if args.seed is None else args.seed
+    seed = rc.train_config(seed=args.seed).seed
     net = rc.build_network(seed)
     rng = np.random.default_rng([seed, 1])
     # fractional delays keep finite differences away from the kernel's
@@ -219,9 +211,11 @@ def cmd_gradcheck(args) -> int:
 def cmd_gen_poisson(args) -> int:
     if args.count < 1:
         raise ParameterError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {args.seed}")
     config = SimConfig(t_ms=args.t_ms, ts_ms=args.ts_ms)
     out = Path(args.out)
-    single_file = args.count == 1 and out.suffix in (".csv", ".slyr")
+    single_file = args.count == 1 and out.suffix.lower() in (".csv", ".slyr")
     # every train is drawn, and so validated, before anything is written
     trains = [
         poisson_spike_train(args.channels, args.rate, config, seed=[args.seed, i])

@@ -92,9 +92,9 @@ class RunConfig:
     cutoff: float
     optimizer: OptimizerState
     train: TrainConfig
-    data: dict
-    out_dir: str
-    base_dir: Path
+    data: dict  # the file keys hold resolved Paths
+    out_dir: Path
+    path: Path  # the configuration file
 
     def build_network(self, seed: int | None = None) -> Network:
         return init_network(
@@ -119,12 +119,9 @@ class RunConfig:
         return replace(self.train, **{k: v for k, v in overrides.items() if v is not None})
 
     def _resolve(self, key: str) -> Path:
-        path = Path(self.data[key])
-        if not path.is_absolute():
-            path = self.base_dir / path
-        if not path.exists():
-            raise FileNotFoundError(f"data file for '{key}' does not exist: {path}")
-        return path
+        if not self.data[key].exists():
+            raise FileNotFoundError(f"data file for '{key}' does not exist: {self.data[key]}")
+        return self.data[key]
 
     def load_dataset(self, split: str = "train") -> Dataset | None:
         """Build the train or eval dataset named in [data]; None if absent."""
@@ -135,7 +132,7 @@ class RunConfig:
         inputs_path = self._resolve(prefix + "inputs")
         if self.train.loss.mode == "precise":
             if prefix + "targets" not in self.data:
-                raise ConfigError(f"precise loss needs '{prefix}targets' in [data]")
+                raise ConfigError(f"{self.path}: precise loss needs '{prefix}targets' in [data]")
             inputs = read_events(inputs_path, neuron_count=counts[0]).trains
             targets = read_events(
                 self._resolve(prefix + "targets"), neuron_count=counts[-1]
@@ -147,7 +144,7 @@ class RunConfig:
             targets += tuple(SpikeTrain(counts[-1]) for _ in range(count - len(targets)))
             return Dataset(list(zip(inputs, targets)), class_count=0)
         if prefix + "labels" not in self.data:
-            raise ConfigError(f"count loss needs '{prefix}labels' in [data]")
+            raise ConfigError(f"{self.path}: count loss needs '{prefix}labels' in [data]")
         labels_path = self._resolve(prefix + "labels")
         labels = _read_labels(labels_path, counts[-1])
         if not labels:
@@ -268,6 +265,8 @@ def load_config(path: str | Path) -> RunConfig:
     values["train"].setdefault("epochs", 100)
     with _located(path, "train"):
         train = TrainConfig(loss=loss, surrogate=surrogate, **values["train"])
+    # a relative path names a file next to the config; pathlib keeps an absolute one
+    base = path.parent.resolve()
     return RunConfig(
         architecture=architecture,
         spec=spec,
@@ -277,7 +276,7 @@ def load_config(path: str | Path) -> RunConfig:
         cutoff=cutoff,
         optimizer=optimizer,
         train=train,
-        data=values["data"],
-        out_dir=values["output"].get("dir", "runs"),
-        base_dir=path.parent.resolve(),
+        data={k: v if k == "classes" else base / v for k, v in values["data"].items()},
+        out_dir=base / values["output"].get("dir", "runs"),
+        path=path,
     )

@@ -74,6 +74,8 @@ class TrainConfig:
             )
         if self.checkpoint_every < 0 or self.eval_every < 0:
             raise ParameterError("cadences must be nonnegative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

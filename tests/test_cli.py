@@ -1,5 +1,7 @@
 """Command-line entry points, exit codes, and artifact layout."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from spikenet import (
     save_checkpoint,
     write_events,
 )
-from spikenet.cli import main
+from spikenet.cli import build_parser, main
+from spikenet.runconfig import _KEYS
 
 _BASE_CFG = """
 [network]
@@ -149,6 +152,25 @@ def test_gen_poisson_rejects_a_count_below_one(tmp_path, capsys, count):
     assert captured.err == f"ERROR 1: --count must be >= 1, got {count}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_gen_poisson_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    argv = ["gen-poisson", "--channels", "3", "--rate", "50", "--t-ms", "20",
+            "--ts-ms", "1", "--seed", "-3", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "ERROR 1: --seed must be >= 0, got -3\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["in.CSV", "in.SLYR"])
+def test_gen_poisson_reads_the_file_suffix_in_any_case(tmp_path, name):
+    out = tmp_path / name
+    argv = ["gen-poisson", "--channels", "3", "--rate", "200", "--t-ms", "20",
+            "--ts-ms", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.is_file()
+    assert len(read_events(out).trains) == 1
 
 
 def test_train_writes_metrics_checkpoint_report(tmp_path, capsys):
@@ -498,7 +520,7 @@ def test_commands_without_data_exit_1(tmp_path, capsys, command, message):
     save_checkpoint(load_config(cfg).build_network(), None, tmp_path / "c.slck")
     extra = ["--checkpoint", str(tmp_path / "c.slck")] if command == "eval" else []
     assert main([command, "--config", str(cfg), *extra]) == 1
-    assert capsys.readouterr().err == f"ERROR 1: {message}\n"
+    assert capsys.readouterr().err == f"ERROR 1: {cfg}: {message}\n"
 
 
 def test_count_mode_report_holds_the_final_accuracy(tmp_path, capsys):
@@ -649,3 +671,66 @@ def test_a_config_that_disagrees_with_the_checkpoint_is_named(
     assert main(argv) == 1
     assert capsys.readouterr().err == f"ERROR 1: {cfg}: {field.format(ckpt)}\n"
     assert not (tmp_path / "sim").exists()
+
+
+def _seed_argv(tmp_path, command, cfg):
+    """argv of ``command`` on ``cfg``; simulate's input need not exist, as
+    the seed is checked before it is read."""
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        argv += ["--input", str(tmp_path / "gone.csv"), "--out", str(tmp_path / "sim")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["train", "simulate", "gradcheck"])
+def test_a_negative_seed_flag_exits_1(tmp_path, capsys, command):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG)
+    assert main(_seed_argv(tmp_path, command, cfg) + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "ERROR 1: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "simulate", "gradcheck"])
+def test_a_negative_seed_key_names_the_config(tmp_path, capsys, command):
+    cfg = tmp_path / "gc.cfg"
+    cfg.write_text(_GRADCHECK_CFG.replace("seed = 0", "seed = -1"))
+    assert main(_seed_argv(tmp_path, command, cfg)) == 1
+    assert capsys.readouterr().err == f"ERROR 1: {cfg}: [train] seed must be >= 0, got -1\n"
+
+
+def test_config_paths_resolve_next_to_the_config_and_out_against_the_cwd(
+    tmp_path, capsys, monkeypatch
+):
+    """Relative [data] files and [output] dir name files beside the config,
+    wherever the command runs; an absolute dir and --out are taken as given."""
+    conf, work = tmp_path / "conf", tmp_path / "work"
+    conf.mkdir()
+    work.mkdir()
+    _write_dataset(conf)
+    monkeypatch.chdir(work)
+    cfg = "../conf/train.cfg"
+    _train_cfg(conf, epochs=1, out="run")
+    assert main(["train", "--config", cfg]) == 0
+    run = conf.resolve() / "run"
+    assert f"metrics: {run / 'metrics.csv'}; checkpoint: {run / 'checkpoint.slck'}" in (
+        capsys.readouterr().out
+    )
+    assert (run / "metrics.csv").is_file()
+    _train_cfg(conf, epochs=1, out=tmp_path / "absolute")
+    assert main(["train", "--config", cfg]) == 0
+    assert (tmp_path / "absolute" / "metrics.csv").is_file()
+    assert main(["train", "--config", cfg, "--out", "flag"]) == 0
+    assert (work / "flag" / "metrics.csv").is_file()
+    assert sorted(p.name for p in work.iterdir()) == ["flag"]
+
+
+def test_help_lists_every_config_section_and_key():
+    """The help's key reference is written by hand; it must not drift from
+    the keys load_config reads."""
+    reference = build_parser().format_help().split("configuration file sections and keys")[1]
+    parts = re.split(r"^  \[(\w+)\]", reference, flags=re.M)
+    listed = {name: set(re.findall(r"\w+", text)) for name, text in zip(parts[1::2], parts[2::2])}
+    assert list(listed) == list(_KEYS)
+    for section, keys in _KEYS.items():
+        assert set(keys) <= listed[section], section

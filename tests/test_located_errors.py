@@ -183,11 +183,11 @@ _COUNT_SECTIONS = "\n[loss]\nmode = count\ntrue_count = 4\nfalse_count = 1\n"
      ConfigError, "run.cfg: File contains no section headers"),
     ("precise-without-targets",
      lambda p: _config(p, _CFG + "\n[data]\ninputs = inputs.csv\n").load_dataset(),
-     ConfigError, r"precise loss needs 'targets' in \[data\]"),
+     ConfigError, r"run\.cfg: precise loss needs 'targets' in \[data\]"),
     ("count-without-labels",
      lambda p: _config(p, _CFG + _COUNT_SECTIONS + "\n[data]\ninputs = inputs.csv\n")
      .load_dataset(),
-     ConfigError, r"count loss needs 'labels' in \[data\]"),
+     ConfigError, r"run\.cfg: count loss needs 'labels' in \[data\]"),
     ("label-not-an-integer",
      lambda p: _config(p, _CFG + _COUNT_SECTIONS
                        + "\n[data]\ninputs = inputs.csv\nlabels = labels.txt\n",

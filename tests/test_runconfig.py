@@ -44,7 +44,7 @@ ts_ms = 1
     assert rc.train.loss.mode == "precise"
     assert rc.optimizer.method == "adam"
     assert rc.train.epochs == 100
-    assert rc.out_dir == "runs"
+    assert rc.out_dir == tmp_path.resolve() / "runs"
 
 
 def test_count_loss_interval_defaults_to_whole_window(tmp_path):
