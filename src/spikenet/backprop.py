@@ -132,20 +132,19 @@ def delay_gradient(
     s: SampledSignal,
     epsilon_dot: Kernel,
     delays: np.ndarray,
-    events=None,
     out=None,
     work: Workspace | None = None,
 ) -> np.ndarray:
     """Per-neuron -integral of the response time-derivative against the error.
 
     Moving a delay later shifts the response right; the sign makes the
-    gradient point toward increasing loss as delays grow.  ``events`` are
-    the spike events of s and ``work`` the workspace, as in
-    :func:`convolve_values`; ``out`` receives the result.  The values of
-    ``e`` may be a spread pooled error, as in :func:`delta_layer`.
+    gradient point toward increasing loss as delays grow.  ``work`` is the
+    workspace, as in :func:`convolve_values`; ``out`` receives the result.
+    The values of ``e`` may be a spread pooled error, as in
+    :func:`delta_layer`.
     """
     source = s if isinstance(s, SpikeEvents) else s.values
-    adot = convolve_values(source, epsilon_dot, delays, events, work, keep=False)
+    adot = convolve_values(source, epsilon_dot, delays, work, keep=False)
     product = adot.reshape(e.values.shape)  # a view: adot is C-contiguous
     product *= e.values
     out = adot.sum(axis=1, out=out)
@@ -193,7 +192,7 @@ def backward(
                 e = adjoint_linear(net, t, delta)
             delays = net.params[t].delays
             grads.delays[t] = delay_gradient(
-                e, cache.spikes[t], eps_dot, delays, cache.events[t], grads.delays[t], work
+                e, cache.spikes[t], eps_dot, delays, grads.delays[t], work
             )
             if t > 0:
                 u = cache.potentials[t]

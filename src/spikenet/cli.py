@@ -147,7 +147,7 @@ def cmd_simulate(args) -> int:
         sample_dir.mkdir(parents=True, exist_ok=True)
         cache = forward(net, train_in)
         # every input event, same-bin ones included, then the spikes found
-        layer_events = [event_bins(train_in, net.sim)] + cache.events[1:]
+        layer_events = [event_bins(train_in, net.sim)] + [s.events for s in cache.spikes[1:]]
         for layer, (count, events) in enumerate(zip(net.layer_sizes, layer_events)):
             neurons, bins = np.divmod(events, net.sim.n_samples)
             raster = SpikeTrain(count, np.column_stack((neurons, net.sim.bin_center(bins))))

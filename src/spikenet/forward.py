@@ -39,6 +39,7 @@ class SurrogateConfig:
     @classmethod
     def for_theta(cls, theta: float, alpha: float = 10.0) -> "SurrogateConfig":
         """Default sharpness: rho decays by e^-5 one threshold away from theta."""
+        require_positive(theta=theta)
         return cls(alpha=alpha, beta=5.0 / theta)
 
 
@@ -61,20 +62,18 @@ def soft_spike(u: SampledSignal, theta: float, cfg: SurrogateConfig) -> SampledS
 class SignalCache:
     """Per-layer signals of one forward pass, indexed 0 (input) .. n_layers.
 
-    ``spikes[l]`` holds amplitudes in {0, 1/Ts} (continuous values in soft
-    mode), ``events[l]`` the flat indices of its nonzero samples (None past
-    the input in soft mode), ``potentials[l]`` the recorded membrane
-    potential (None for the input layer), and ``responses[l]`` (l < n_layers)
-    the delayed kernel-filtered spike response feeding the next layer, or
-    None where that layer is a frozen aggregation, whose weight gradient
-    needs no response.  Past the input, hard-mode spikes are held only as
-    their events (:class:`SpikeEvents`): each ``values`` read builds a new
+    ``spikes[l]`` holds layer l's spikes, ``potentials[l]`` its recorded
+    membrane potential (None for the input layer), and ``responses[l]``
+    (l < n_layers) the delayed kernel-filtered spike response feeding the
+    next layer, or None where that layer is a frozen aggregation, whose
+    weight gradient needs no response.  The input's spikes, and in hard
+    mode every layer's (soft mode's are continuous), are held only as their
+    events (:class:`SpikeEvents`): each ``values`` read builds a new
     raster, and the kernels build theirs in the pass's workspace.  Backward
     keeps each hidden layer's credit in that workspace, not in the cache.
     """
 
     spikes: list
-    events: list
     potentials: list
     responses: list
 
@@ -137,11 +136,11 @@ def simulate_layer(u: np.ndarray, nu: Kernel, theta: float) -> tuple:
     a new (channels, n_samples) float64 array, which becomes the recorded
     potential in place.
 
-    Returns (spikes, recorded potential, events): the events are the flat
-    indices (neuron * n_samples + bin) of the spikes in bin order, and the
-    spikes are :class:`SpikeEvents` holding them.  A neuron spikes at the
-    first bin where its accumulated potential reaches theta; each spike
-    adds the refractory kernel from its bin onward.
+    Returns (spikes, recorded potential): the spikes are
+    :class:`SpikeEvents` holding the flat indices (neuron * n_samples + bin)
+    of the spikes in bin order.  A neuron spikes at the first bin where its
+    accumulated potential reaches theta; each spike adds the refractory
+    kernel from its bin onward.
 
     Two loops agree bit for bit: a small layer with few samples at or above
     theta walks those candidate samples, any other steps through its bins.
@@ -152,7 +151,7 @@ def simulate_layer(u: np.ndarray, nu: Kernel, theta: float) -> tuple:
     else:
         events = _threshold_bins(u, nu.samples, theta)
     ts = nu.ts_ms
-    return SpikeEvents(events, u.shape, ts), SampledSignal._adopt(u, ts), events
+    return SpikeEvents(events, u.shape, ts), SampledSignal._adopt(u, ts)
 
 
 def forward(
@@ -160,9 +159,9 @@ def forward(
 ) -> SignalCache:
     """Simulate the whole network on one input spike train.
 
-    The cache holds every layer's spike signal, spike events, potential and
-    delayed response (none for an aggregation's input), which is exactly
-    what the backward pass consumes.
+    The cache holds every layer's spikes, potential and delayed response
+    (none for an aggregation's input), which is exactly what the backward
+    pass consumes.
     With a ``surrogate`` the pass runs in soft mode: each layer's spikes are
     :func:`soft_spike` of its feedforward potential, with no refractory term.
     """
@@ -175,11 +174,10 @@ def forward(
     # one event per nonzero bin, as spikes_to_signal adds events binned
     # together; sort and compare is ten times faster here than np.unique
     events = np.sort(event_bins(spikes, net.sim))
-    unique = np.ones(events.size, bool)
-    np.not_equal(events[1:], events[:-1], out=unique[1:])
-    events = events[unique]
-    events.flags.writeable = False
-    cache = SignalCache(spikes=[s], events=[events], potentials=[None], responses=[])
+    events = events[np.diff(events, prepend=-1) != 0]
+    # the raster's sums, not counts / Ts: the two can differ by rounding
+    s = SpikeEvents(events, s.values.shape, s.ts_ms, s.values.reshape(-1)[events])
+    cache = SignalCache(spikes=[s], potentials=[None], responses=[])
     epsilon, nu, theta = net.epsilon, net.nu, net.neuron.theta
     with workspace() as work:
         for t in range(net.n_transitions):
@@ -192,18 +190,15 @@ def forward(
                 raise NumericError(f"non-finite delay in transition {t} at neuron {c}")
             source = cache.spikes[t]
             source = source if isinstance(source, SpikeEvents) else source.values
-            response = convolve_values(
-                source, epsilon, delays, cache.events[t], work, keep=not frozen
-            )
+            response = convolve_values(source, epsilon, delays, work, keep=not frozen)
             a = SampledSignal._adopt(response, s.ts_ms)
             cache.responses.append(None if frozen else a)
             u = apply_linear(net, t, a)
             if surrogate is None:
-                s_next, u_next, events = simulate_layer(u, nu, theta)
+                s_next, u_next = simulate_layer(u, nu, theta)
             else:
                 u_next = SampledSignal._adopt(u, s.ts_ms)
-                s_next, events = soft_spike(u_next, theta, surrogate), None
+                s_next = soft_spike(u_next, theta, surrogate)
             cache.spikes.append(s_next)
-            cache.events.append(events)
             cache.potentials.append(u_next)
     return cache

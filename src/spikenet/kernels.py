@@ -281,17 +281,14 @@ def _window_sum(values, table: np.ndarray, work: Workspace, keep: bool, lead: bo
 _SCATTER_DENSITY = 1.0 / 16.0
 
 
-def convolve_values(
-    values, kernel: Kernel, delays, events=None, work=None, keep=True
-) -> np.ndarray:
+def convolve_values(values, kernel: Kernel, delays, work=None, keep=True) -> np.ndarray:
     """out[c, n] = Ts * sum_m k(m*Ts - d_c) * values[c, n - m]; no sign check.
 
     ``values`` is a (channels, n_samples) array or :class:`SpikeEvents`.
-    ``events``, if given, holds the flat index (c * n_samples + n) of every
-    nonzero sample of ``values`` exactly once; SpikeEvents bring their own.
-    Below 1/16 density the output is then built by scattering each event's
-    delayed kernel taps; the scatter and the dense window sum group their
-    additions differently, so they agree to rounding, not bit for bit.
+    Below 1/16 density SpikeEvents are convolved by scattering each event's
+    delayed kernel taps times its amplitude; the scatter and the dense
+    window sum group their additions differently, so they agree to
+    rounding, not bit for bit.
 
     ``work``, a :class:`Workspace`, supplies tap tables and temporaries,
     the raster of SpikeEvents included; without ``keep`` the dense sum's
@@ -301,8 +298,7 @@ def convolve_values(
     delays = _delay_vector(delays, channels)
     taps = _taps(kernel, delays, n_samples)
     work = Workspace() if work is None else work
-    spikes = isinstance(values, SpikeEvents)
-    events = values.events if spikes else events
+    events = values.events if isinstance(values, SpikeEvents) else None
     if events is not None and len(events) < _SCATTER_DENSITY * values.size:
         kd = work.delayed_taps(kernel, delays, taps)
         shape = (len(events), taps)
@@ -311,7 +307,7 @@ def convolve_values(
         # taps past the row's last bin go to one dump bin past the signal
         rows = events // n_samples
         kd.take(rows, axis=0, out=weights, mode="clip")
-        weights *= 1.0 / values.ts_ms if spikes else values.reshape(-1)[events][:, None]
+        weights *= 1.0 / values.ts_ms if values.amplitudes is None else values.amplitudes[:, None]
         np.add(events[:, None], np.arange(taps), out=index)
         np.putmask(index, index >= (rows[:, None] + 1) * n_samples, values.size)
         out = np.bincount(

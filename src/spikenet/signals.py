@@ -229,22 +229,26 @@ class SampledSignal:
 
 
 class SpikeEvents(SampledSignal):
-    """Spikes of amplitude 1/Ts held only as their ``events``, the read-only
-    flat indices (channel * n_samples + bin) of the nonzero samples.
+    """Spikes held only as their ``events``, the read-only flat indices
+    (channel * n_samples + bin) of the nonzero samples, and ``amplitudes``,
+    their values (k/Ts where k input spikes share a bin) or None for 1/Ts.
 
     Each ``values`` read builds a new read-only raster.  ``shape`` and
     ``size`` are the raster's, and ``__array__`` builds it, so array code
     (a convolution's nonzero count, say) reads the signal as its raster.
     """
 
-    def __init__(self, events: np.ndarray, shape: tuple, ts_ms: float):
+    def __init__(self, events: np.ndarray, shape: tuple, ts_ms: float, amplitudes=None):
         events.flags.writeable = False
-        self.__dict__.update(events=events, shape=shape, ts_ms=ts_ms)
+        if amplitudes is not None:
+            amplitudes.flags.writeable = False
+        self.__dict__.update(events=events, shape=shape, ts_ms=ts_ms, amplitudes=amplitudes)
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Write the raster into ``out``, a float64 array of its shape; return it."""
         out.fill(0.0)
-        out.reshape(-1)[self.events] = 1.0 / self.ts_ms
+        amplitudes = self.amplitudes
+        out.reshape(-1)[self.events] = 1.0 / self.ts_ms if amplitudes is None else amplitudes
         return out
 
     @property
@@ -287,6 +291,8 @@ def poisson_spike_train(
         raise ParameterError(
             f"rate {rate_hz} Hz exceeds one spike per {config.ts_ms} ms bin"
         )
+    if seed is not None and np.min(seed, initial=0) < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     hits = rng.random((channels, config.n_samples)) < p
     bins, chans = np.nonzero(hits.T)  # (time, neuron) order

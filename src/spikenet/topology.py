@@ -302,6 +302,8 @@ def init_network(
         gain = 10.0 * neuron.theta
     elif not np.isfinite(gain):
         raise ParameterError(f"gain must be finite, got {gain!r}")
+    if seed is not None and np.min(seed, initial=0) < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     params = []
     for t in range(spec.n_transitions):

@@ -34,6 +34,7 @@ from spikenet.backprop import _times_rho, delay_gradient, delta_layer, output_er
 from spikenet.errors import NumericError, ParameterError
 from spikenet.forward import soft_spike
 from spikenet.losses import error_count, error_precise, interval_bins, output_credit
+from spikenet.signals import SpikeEvents
 
 
 def _sig(values, ts=1.0):
@@ -44,6 +45,13 @@ def test_surrogate_config_for_theta():
     cfg = SurrogateConfig.for_theta(10.0)
     assert cfg.alpha == 10.0
     assert cfg.beta == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0])
+def test_surrogate_for_theta_rejects_a_non_positive_theta(theta):
+    """Zero must not reach the division, nor -1 the check that names beta."""
+    with pytest.raises(ParameterError, match=rf"^theta must be positive and finite, got {theta}$"):
+        SurrogateConfig.for_theta(theta)
 
 
 def _rho(u, theta, cfg):
@@ -494,7 +502,8 @@ def test_forward_caches_stay_read_only_through_backward(arch):
         signals = cache.spikes + cache.potentials + cache.responses
         arrays = [s.values for s in signals if s is not None]
         assert all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
-        arrays += [events for events in cache.events if events is not None]
+        held = [s for s in cache.spikes if isinstance(s, SpikeEvents)]
+        arrays += [a for s in held for a in (s.events, s.amplitudes) if a is not None]
         assert len(arrays) > 3 * net.n_transitions
         for a in arrays:
             assert not a.flags.writeable
@@ -515,7 +524,7 @@ def _materialized_backward(net, cache, e_out, surrogate):
         weights[t] = weight_gradient(net, t, delta, cache.responses[t])
         error = adjoint_linear(net, t, delta)
         d = net.params[t].delays
-        delays[t] = delay_gradient(error, cache.spikes[t], net.epsilon_dot, d, cache.events[t])
+        delays[t] = delay_gradient(error, cache.spikes[t], net.epsilon_dot, d)
         if t > 0:
             delta = delta_layer(error, cache.potentials[t], net.epsilon, d, theta, surrogate)
     return weights, delays

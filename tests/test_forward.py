@@ -28,7 +28,7 @@ def _nu(theta=10.0, tau_r=1.0, ts=1.0):
 
 def test_silent_below_threshold():
     u_ff = np.full((3, 20), 9.999)
-    s, u, _ = simulate_layer(u_ff.copy(), _nu(theta=10.0), 10.0)
+    s, u = simulate_layer(u_ff.copy(), _nu(theta=10.0), 10.0)
     assert np.all(s.values == 0.0)
     np.testing.assert_array_equal(u.values, u_ff)
 
@@ -39,7 +39,7 @@ def test_single_pulse_spikes_once():
     theta = 10.0
     u_ff = np.zeros((1, 20))
     u_ff[0, 5] = 2.0 * theta
-    s, u, _ = simulate_layer(u_ff.copy(), _nu(theta=theta), theta)
+    s, u = simulate_layer(u_ff.copy(), _nu(theta=theta), theta)
     assert s.values[0, 5] == 1.0
     assert np.count_nonzero(s.values) == 1
     assert u.values[0, 5] == pytest.approx(2.0 * theta + ref_nu(0.0, theta, 1.0))
@@ -50,7 +50,7 @@ def test_spike_amplitude_is_one_over_ts():
     theta = 10.0
     u_ff = np.zeros((1, 40))
     u_ff[0, 8] = 2.0 * theta
-    s, _, _ = simulate_layer(u_ff.copy(), _nu(theta=theta, ts=0.5), theta)
+    s, _ = simulate_layer(u_ff.copy(), _nu(theta=theta, ts=0.5), theta)
     assert s.values[0, 8] == 2.0
 
 
@@ -60,7 +60,7 @@ def test_sustained_drive_spikes_at_refractory_rate():
     theta, tau_r, ts = 10.0, 2.0, 1.0
     nu = _nu(theta=theta, tau_r=tau_r, ts=ts)
     u_const = np.full((1, 60), 14.0)
-    s, u, _ = simulate_layer(u_const.copy(), nu, theta)
+    s, u = simulate_layer(u_const.copy(), nu, theta)
     want_s, want_u = ref_simulate(u_const[0], theta, tau_r, ts, nu.support_end)
     np.testing.assert_allclose(s.values[0], want_s, atol=1e-12)
     np.testing.assert_allclose(u.values[0], want_u, atol=1e-10)
@@ -74,7 +74,7 @@ def test_matches_scalar_oracle_on_random_drive():
     for seed in range(6):
         rng = np.random.default_rng(seed)
         u_ff = rng.uniform(-2.0, 8.0, size=(4, 50))
-        s, u, _ = simulate_layer(u_ff.copy(), nu, theta)
+        s, u = simulate_layer(u_ff.copy(), nu, theta)
         for c in range(4):
             want_s, want_u = ref_simulate(u_ff[c], theta, tau_r, ts, nu.support_end)
             np.testing.assert_allclose(s.values[c], want_s, atol=1e-12)
@@ -85,7 +85,7 @@ def test_refractory_feedback_only_reduces_firing():
     rng = np.random.default_rng(42)
     u_ff = rng.uniform(0.0, 15.0, size=(5, 40))
     theta = 10.0
-    s, _, _ = simulate_layer(u_ff.copy(), _nu(theta=theta), theta)
+    s, _ = simulate_layer(u_ff.copy(), _nu(theta=theta), theta)
     free_count = np.count_nonzero(u_ff >= theta)
     assert np.count_nonzero(s.values) <= free_count
 
@@ -98,7 +98,7 @@ def test_spike_decision_ignores_same_bin_feedback():
     u_ff = np.zeros((1, 10))
     u_ff[0, 3] = 2.0 * theta
     u_ff[0, 4] = 2.0 * theta + 2.0 * theta * np.exp(1.0 - 1.0)  # cancel nu(ts) exactly, *2 margin
-    s, _, _ = simulate_layer(u_ff.copy(), _nu(theta=theta, tau_r=tau_r), theta)
+    s, _ = simulate_layer(u_ff.copy(), _nu(theta=theta, tau_r=tau_r), theta)
     assert s.values[0, 3] == 1.0
     assert s.values[0, 4] == 1.0
 
@@ -175,7 +175,7 @@ def test_forward_on_a_silent_input_has_no_input_events():
         parse_architecture("4-3-2"), NeuronConfig(10.0, 2.0, 1.0), SimConfig(20.0, 0.5), seed=1
     )
     cache = forward(net, SpikeTrain(4, ()))
-    assert cache.events[0].size == 0
+    assert cache.spikes[0].events.size == 0
     assert not cache.spikes[0].values.any()
 
 
@@ -185,7 +185,7 @@ def test_forward_holds_a_bin_with_two_input_events_once():
     # neuron 2 fires twice in bin 8 (4.0-4.5 ms); neuron 0 once in bin 3
     cache = forward(net, SpikeTrain(4, ((2, 4.1), (2, 4.4), (0, 1.7))))
     n = sim.n_samples
-    assert cache.events[0].tolist() == [0 * n + 3, 2 * n + 8]
+    assert cache.spikes[0].events.tolist() == [0 * n + 3, 2 * n + 8]
     assert cache.spikes[0].values[2, 8] == 2.0 / sim.ts_ms
     assert cache.spikes[0].values[0, 3] == 1.0 / sim.ts_ms
 
@@ -252,7 +252,7 @@ def test_forward_is_causal_across_the_scatter_crossover():
     a = forward(net, SpikeTrain(10, early))
     b = forward(net, SpikeTrain(10, early + late))
     size = a.spikes[0].values.size
-    assert len(a.events[0]) < _SCATTER_DENSITY * size < len(b.events[0])
+    assert len(a.spikes[0].events) < _SCATTER_DENSITY * size < len(b.spikes[0].events)
     assert np.any(a.spikes[1].values[:, :cut])
     for layer in range(3):
         np.testing.assert_array_equal(
@@ -271,7 +271,7 @@ def test_forward_refractory_monotonicity():
     the feedback on identical potentials."""
     rng = np.random.default_rng(3)
     u_ff = rng.uniform(0.0, 14.0, size=(6, 50))
-    s_with, _, _ = simulate_layer(u_ff.copy(), _nu(theta=10.0), 10.0)
+    s_with, _ = simulate_layer(u_ff.copy(), _nu(theta=10.0), 10.0)
     free = np.count_nonzero(u_ff >= 10.0)
     assert np.count_nonzero(s_with.values) <= free
 

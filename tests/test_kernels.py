@@ -23,6 +23,7 @@ from spikenet import (
 )
 from spikenet.errors import ConfigError, ParameterError
 from spikenet.kernels import convolve_values, correlate_values
+from spikenet.signals import SpikeEvents
 
 
 def _config(tau_s=2.0, tau_r=1.0, theta=10.0, ts=1.0, cutoff=1e-6):
@@ -174,8 +175,8 @@ def test_correlate_impulse_reads_kernel_backwards():
 
 def test_convolve_correlate_adjoint():
     """<K x, y> == <x, K* y> for the same kernel and fractional per-channel
-    delays.  x is dense, through the window sum, or sparse spikes passed
-    with their events below the 1/16 cutoff, through the scatter."""
+    delays.  x is dense, through the window sum, or sparse spikes held as
+    their events below the 1/16 cutoff, through the scatter."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -200,9 +201,10 @@ def test_convolve_correlate_adjoint():
             x = np.zeros(size)
             x[events] = 1.0 / ts
             x = x.reshape(channels, bins)
+            source = SpikeEvents(events, x.shape, ts)
         else:
-            x, events = rng.normal(size=(channels, bins)), None
-        lhs = float(np.sum(convolve_values(x, eps, delays, events) * y))
+            x = source = rng.normal(size=(channels, bins))
+        lhs = float(np.sum(convolve_values(source, eps, delays) * y))
         rhs = float(np.sum(x * correlate_values(y, eps, delays)))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 

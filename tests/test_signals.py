@@ -185,6 +185,13 @@ def test_poisson_rejects_rate_above_grid():
         poisson_spike_train(2, 2000.0, SimConfig(50.0, 1.0), 0)
 
 
+@pytest.mark.parametrize("seed", [-1, [3, -1]], ids=["int", "sequence"])
+def test_poisson_rejects_a_negative_seed(seed):
+    """numpy's own error for a negative seed is a bare ValueError."""
+    with pytest.raises(ParameterError, match=r"^seed must be >= 0, got "):
+        poisson_spike_train(3, 10.0, SimConfig(20.0, 1.0), seed)
+
+
 def _random_set(seed, trains=5, channels=9):
     rng = np.random.default_rng(seed)
     out = []

@@ -58,7 +58,7 @@ def test_walk_and_per_bin_loop_agree_bit_for_bit(layer):
     assert s_walk.tobytes() == s_bins.tobytes()
     assert np.all(np.diff(events_walk % u_ff.shape[1]) >= 0)  # bin order
     # simulate_layer returns the same, whichever loop it picks
-    s, u, events = simulate_layer(u_ff.copy(), nu, theta)
+    s, u = simulate_layer(u_ff.copy(), nu, theta)
     assert u.values.tobytes() == u_bins.tobytes()
-    assert events.tolist() == events_bins.tolist()
+    assert s.events.tolist() == events_bins.tolist()
     assert s.values.tobytes() == s_bins.tobytes()

@@ -14,7 +14,7 @@ from spikenet import (
     parse_architecture,
     render_architecture,
 )
-from spikenet.errors import NumericError, ParseError, ShapeError
+from spikenet.errors import NumericError, ParameterError, ParseError, ShapeError
 from spikenet.topology import LayerParams, Network
 
 
@@ -91,6 +91,13 @@ def test_init_deterministic_per_seed():
     for pa, pb in zip(a.params, b.params):
         np.testing.assert_array_equal(pa.weights, pb.weights)
     assert not np.array_equal(a.params[0].weights, c.params[0].weights)
+
+
+@pytest.mark.parametrize("seed", [-1, [3, -1]], ids=["int", "sequence"])
+def test_init_rejects_a_negative_seed(seed):
+    """numpy's own error for a negative seed is a bare ValueError."""
+    with pytest.raises(ParameterError, match=r"^seed must be >= 0, got "):
+        _init("3-2", seed=seed)
 
 
 def test_init_dense_bound_scales_with_fan_in():

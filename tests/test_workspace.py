@@ -38,6 +38,7 @@ from spikenet import (
 )
 from spikenet.errors import FormatError
 from spikenet.kernels import Workspace, convolve_values, workspace
+from spikenet.signals import SpikeEvents
 
 NETS = {
     "dense": ("30-12-4", 30.0, 40.0),
@@ -78,7 +79,8 @@ def _pass(net, train, spec=SPEC):
 def _arrays(cache, grads):
     signals = cache.spikes + cache.potentials[1:] + cache.responses
     arrays = [s.values for s in signals if s is not None]
-    arrays += [e for e in cache.events if e is not None]
+    held = [s for s in cache.spikes if isinstance(s, SpikeEvents)]
+    arrays += [a for s in held for a in (s.events, s.amplitudes) if a is not None]
     return arrays + [a for a in grads.weights + grads.delays if a is not None]
 
 
@@ -142,8 +144,8 @@ def test_nothing_returned_lives_in_the_workspace(kind, scatter):
         eps = net.epsilon
         delays = net.params[0].delays
         results = [convolve(x, eps, delays).values, correlate(x, eps, delays).values]
-        results.append(convolve_values(x.values, eps, delays, first[0].events[0], work))
-        results.append(convolve_values(x.values, eps, delays, None, work))
+        results.append(convolve_values(first[0].spikes[0], eps, delays, work))
+        results.append(convolve_values(x.values, eps, delays, work))
         for array in results:
             assert not any(np.shares_memory(array, s) for s in scratch)
     other = poisson_spike_train(net.layer_sizes[0], 50.0, net.sim, 11)
@@ -171,10 +173,10 @@ def test_tables_of_dropped_kernels_and_delays_are_released():
     neuron, values, kept = NeuronConfig(5.0, 2.0, 1.0), np.ones((3, 20)), np.full(3, 1.5)
     with workspace() as work:
         old, new = make_epsilon(neuron, 1.0), make_epsilon(neuron, 1.0)
-        convolve_values(values, old, kept, None, work)
-        convolve_values(values, old, np.full(3, 0.5), None, work)  # a temporary
+        convolve_values(values, old, kept, work)
+        convolve_values(values, old, np.full(3, 0.5), work)  # a temporary
         del old
-        convolve_values(values, new, kept, None, work)
+        convolve_values(values, new, kept, work)
         refs = [(entry[0](), entry[1]()) for entry in work._tables.values()]
     assert all(kernel is not None and delays is not None for kernel, delays in refs)
     assert [kernel is new for kernel, delays in refs if delays is kept] == [True]
@@ -254,10 +256,10 @@ def test_an_aggregation_error_stays_pooled_in_backward():
 
 
 def test_a_hard_forward_keeps_no_spike_raster_past_the_input():
-    """With a warm workspace, a hard-mode cache holds its input raster,
-    potentials, kept responses and spike events, and nothing signal-sized
-    besides: 1.21 MB on this net over 300 bins.  Rasters of the 275
-    neurons past the input would add 0.66 MB."""
+    """With a warm workspace, a hard-mode cache holds its potentials, kept
+    responses, spike events and input amplitudes, and nothing signal-sized
+    besides: 1.07 MB on this net over 300 bins.  The 64-neuron input raster
+    would add 0.15 MB, rasters of the 275 neurons past the input 0.66 MB."""
     sim = SimConfig(300.0, 1.0)
     net = init_network(
         parse_architecture("8x8x1-6c3-2a-5"), NeuronConfig(5.0, 2.0, 1.0), sim, seed=3, gain=40.0
@@ -271,9 +273,10 @@ def test_a_hard_forward_keeps_no_spike_raster_past_the_input():
         kept = tracemalloc.get_traced_memory()[0] - entry
     finally:
         tracemalloc.stop()
-    signals = cache.spikes[:1] + cache.potentials[1:] + cache.responses
+    assert all(isinstance(s, SpikeEvents) for s in cache.spikes)
+    signals = cache.potentials[1:] + cache.responses
     held = sum(s.values.nbytes for s in signals if s is not None)
-    held += sum(events.nbytes for events in cache.events)
+    held += sum(a.nbytes for s in cache.spikes for a in (s.events, s.amplitudes) if a is not None)
     assert kept < held + (1 << 16)
 
 
