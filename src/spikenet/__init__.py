@@ -11,7 +11,6 @@ from .backprop import (
     Gradients,
     backward,
     finite_diff_gradients,
-    output_error,
     soft_forward,
     soft_loss,
 )
@@ -35,7 +34,7 @@ from .kernels import (
     make_epsilon_dot,
     make_nu,
 )
-from .losses import LossSpec, error_count, error_precise, loss_value, spike_counts
+from .losses import LossSpec, error_count, error_precise, loss_value, output_error, spike_counts
 from .optim import OptimizerState, clamp_delays, step
 from .runconfig import RunConfig, load_config
 from .signals import (

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError, require_positive
+from .errors import NumericError, ShapeError, require_positive
 from .forward import SignalCache, SurrogateConfig, forward
 from .kernels import Kernel, Workspace, convolve_values, correlate_values, correlate_view, workspace
-from .losses import LossSpec, error_count, error_precise, loss_value, output_credit
+from .losses import LossSpec, loss_value, output_credit, output_error
 from .signals import SampledSignal, SpikeEvents, SpikeTrain
 from .topology import Network, adjoint_linear, block_view, weight_gradient
 
@@ -61,26 +61,6 @@ class Gradients:
         for mine, theirs in zip(self._arrays(), other._arrays()):
             theirs *= scale
             mine += theirs
-
-
-def output_error(
-    net: Network,
-    cache: SignalCache,
-    spec: LossSpec,
-    target: SpikeTrain | None = None,
-    label: int | None = None,
-) -> SampledSignal:
-    """Error signal at the output layer for the configured loss mode."""
-    s_out = cache.spikes[-1]
-    if spec.mode == "precise":
-        if target is None:
-            raise ParameterError("precise loss needs a target spike train")
-        with workspace() as work:
-            return error_precise(s_out, target, net.epsilon, net.sim, work)
-    if label is None:
-        raise ParameterError("count loss needs a label")
-    desired = spec.desired_counts(label, s_out.channels)
-    return error_count(s_out, desired, spec.interval, net.sim)
 
 
 def _times_rho(x: np.ndarray, u: np.ndarray, theta: float, cfg: SurrogateConfig) -> np.ndarray:
@@ -214,13 +194,10 @@ def soft_loss(
     spikes: SpikeTrain,
     spec: LossSpec,
     surrogate: SurrogateConfig,
-    target: SpikeTrain | None = None,
-    label: int | None = None,
+    target: SpikeTrain | int | None = None,
 ) -> float:
-    """Scalar loss of one soft-mode forward pass."""
-    cache = forward(net, spikes, surrogate)
-    e = output_error(net, cache, spec, target=target, label=label)
-    return loss_value(e)
+    """Scalar loss of one soft-mode forward pass against the sample's target."""
+    return loss_value(output_error(net, forward(net, spikes, surrogate), spec, target))
 
 
 def finite_diff_gradients(
@@ -229,8 +206,7 @@ def finite_diff_gradients(
     spec: LossSpec,
     surrogate: SurrogateConfig,
     h: float = 1e-5,
-    target: SpikeTrain | None = None,
-    label: int | None = None,
+    target: SpikeTrain | int | None = None,
 ) -> Gradients:
     """Central finite differences of the soft-mode loss over every parameter.
 
@@ -238,14 +214,13 @@ def finite_diff_gradients(
     evaluated slightly below zero during a probe; the kernels accept that.
     """
     require_positive(h=h)
-    kwargs = dict(spec=spec, surrogate=surrogate, target=target, label=label)
 
     def probe(array: np.ndarray, idx) -> float:
         original = array[idx]
         array[idx] = original + h
-        up = soft_loss(net, spikes, **kwargs)
+        up = soft_loss(net, spikes, spec, surrogate, target)
         array[idx] = original - h
-        down = soft_loss(net, spikes, **kwargs)
+        down = soft_loss(net, spikes, spec, surrogate, target)
         array[idx] = original
         return (up - down) / (2.0 * h)
 

@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .backprop import backward, finite_diff_gradients, output_error
+from .backprop import backward, finite_diff_gradients
 from .errors import ConfigError, ParameterError, SpikeNetError, require_positive
 from .forward import forward
+from .losses import output_error
 from .runconfig import RunConfig, load_config
 from .signals import (
     SimConfig,
@@ -76,9 +77,7 @@ def cmd_train(args) -> int:
     out = Path(args.out) if args.out else rc.out_dir
     rows = train(net, optim_state, train_set, cfg, out_dir=out, eval_set=eval_set)
     _write_report(out / "report.txt", rc, cfg.epochs, rows)
-    last = rows[-1]
-    acc = "" if last.accuracy is None else f", accuracy {last.accuracy:.4f}"
-    print(f"trained {cfg.epochs} epochs; final {last.split} loss {last.loss:.6g}{acc}")
+    print(f"trained {cfg.epochs} epochs; final {rows[-1]}")
     print(f"metrics: {out / 'metrics.csv'}; checkpoint: {out / 'checkpoint.slck'}")
     return 0
 
@@ -128,8 +127,7 @@ def cmd_eval(args) -> int:
     if dataset is None:
         raise ConfigError(f"{rc.path}: no eval_inputs or inputs in [data]; nothing to evaluate")
     row = evaluate(net, dataset, cfg, epoch=epoch)
-    acc = "" if row.accuracy is None else f", accuracy {row.accuracy:.4f}"
-    print(f"eval loss {row.loss:.6g}{acc} ({len(dataset)} samples, epoch {epoch})")
+    print(f"{row} ({len(dataset)} samples, epoch {epoch})")
     return 0
 
 
@@ -174,13 +172,13 @@ def cmd_gradcheck(args) -> int:
     spikes_in = poisson_spike_train(net.layer_sizes[0], args.rate, net.sim, seed=[seed, 2])
     loss, classes = rc.train.loss, net.layer_sizes[-1]
     if loss.mode == "count":
-        data = dict(label=int(rng.integers(classes)))
+        target = int(rng.integers(classes))
     else:
-        data = dict(target=poisson_spike_train(classes, args.target_rate, net.sim, seed=[seed, 3]))
+        target = poisson_spike_train(classes, args.target_rate, net.sim, seed=[seed, 3])
     cache = forward(net, spikes_in, rc.train.surrogate)
-    e = output_error(net, cache, loss, **data)
+    e = output_error(net, cache, loss, target)
     analytic = backward(net, cache, e, rc.train.surrogate)
-    fd = finite_diff_gradients(net, spikes_in, loss, rc.train.surrogate, h=args.h, **data)
+    fd = finite_diff_gradients(net, spikes_in, loss, rc.train.surrogate, h=args.h, target=target)
     floor = 1e-8  # relative errors are taken against at least this magnitude
     worst = largest = 0.0
     failed = False

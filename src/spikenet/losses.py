@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError, ShapeError
-from .kernels import Kernel, convolve_values, correlate_values, zero_delays
+from .forward import SignalCache
+from .kernels import Kernel, convolve_values, correlate_values, workspace, zero_delays
 from .signals import SampledSignal, SimConfig, SpikeTrain, spikes_to_signal
+from .topology import Network
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,20 @@ def error_count(
     e = np.zeros((s_out.channels, s_out.n_samples))
     e[:, bins] = (actual - desired)[:, None]
     return CountErrorSignal._adopt(e, s_out.ts_ms, credit_scale=config.ts_ms * len(bins))
+
+
+def output_error(net: Network, cache: SignalCache, spec: LossSpec, target=None) -> SampledSignal:
+    """Output error of a forward ``cache`` against the sample's target: a
+    spike train under the precise loss, a class label under the count loss."""
+    s_out = cache.spikes[-1]
+    if spec.mode == "precise":
+        if not isinstance(target, SpikeTrain):
+            raise ParameterError("precise loss needs a target spike train")
+        with workspace() as work:
+            return error_precise(s_out, target, net.epsilon, net.sim, work)
+    if target is None or isinstance(target, SpikeTrain):
+        raise ParameterError("count loss needs a label")
+    return error_count(s_out, spec.desired_counts(target, s_out.channels), spec.interval, net.sim)
 
 
 def loss_value(e: SampledSignal) -> float:

@@ -273,6 +273,17 @@ class SpikeEvents(SampledSignal):
         return self.shape[0] * self.shape[1]
 
 
+def require_seed(seed) -> None:
+    """Raise ParameterError unless ``seed`` is None, an integer >= 0 or a
+    list or tuple of such integers, naming the first entry that is not."""
+    entries = () if seed is None else seed if isinstance(seed, (list, tuple)) else (seed,)
+    for entry in entries:
+        if not isinstance(entry, (int, np.integer)):
+            raise ParameterError(f"seed must be an integer >= 0, got {entry!r}")
+        if entry < 0:
+            raise ParameterError(f"seed must be >= 0, got {entry!r}")
+
+
 def poisson_spike_train(
     channels: int, rate_hz: float, config: SimConfig, seed: int
 ) -> SpikeTrain:
@@ -291,8 +302,7 @@ def poisson_spike_train(
         raise ParameterError(
             f"rate {rate_hz} Hz exceeds one spike per {config.ts_ms} ms bin"
         )
-    if seed is not None and np.min(seed, initial=0) < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed!r}")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     hits = rng.random((channels, config.n_samples)) < p
     bins, chans = np.nonzero(hits.T)  # (time, neuron) order

@@ -25,7 +25,7 @@ from .errors import NumericError, ParameterError, ParseError, ShapeError
 from .kernels import (
     DEFAULT_CUTOFF, Kernel, NeuronConfig, make_epsilon, make_epsilon_dot, make_nu, require_cutoff
 )
-from .signals import SampledSignal, SimConfig
+from .signals import SampledSignal, SimConfig, require_seed
 
 
 @dataclass(frozen=True)
@@ -302,8 +302,7 @@ def init_network(
         gain = 10.0 * neuron.theta
     elif not np.isfinite(gain):
         raise ParameterError(f"gain must be finite, got {gain!r}")
-    if seed is not None and np.min(seed, initial=0) < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed!r}")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     params = []
     for t in range(spec.n_transitions):

@@ -17,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .backprop import Gradients, backward, output_error
+from .backprop import Gradients, backward
 from .errors import FormatError, ParameterError, ShapeError, SpikeNetError
 from .forward import SurrogateConfig, forward
 from .kernels import NeuronConfig
-from .losses import LossSpec, loss_value, spike_counts
+from .losses import LossSpec, loss_value, output_error, spike_counts
 from .optim import OptimizerState, step
-from .signals import SampledSignal, SimConfig, SpikeTrain
+from .signals import SampledSignal, SimConfig, SpikeTrain, require_seed
 from .topology import LayerParams, Network, parse_architecture, render_architecture
 
 
@@ -38,17 +38,16 @@ class Dataset:
     def __post_init__(self):
         if self.samples:
             channels = self.samples[0][0].neuron_count
-            for i, (train, label) in enumerate(self.samples):
+            for i, (train, target) in enumerate(self.samples):
                 if train.neuron_count != channels:
                     raise ShapeError(
                         f"sample {i} has {train.neuron_count} channels, "
                         f"expected {channels}"
                     )
-                if isinstance(label, (int, np.integer)):
-                    if not 0 <= label < self.class_count:
-                        raise ParameterError(
-                            f"sample {i} label {label} outside 0..{self.class_count - 1}"
-                        )
+                if isinstance(target, (int, np.integer)) and not 0 <= target < self.class_count:
+                    raise ParameterError(
+                        f"sample {i} label {target} outside 0..{self.class_count - 1}"
+                    )
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -74,8 +73,7 @@ class TrainConfig:
             )
         if self.checkpoint_every < 0 or self.eval_every < 0:
             raise ParameterError("cadences must be nonnegative")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        require_seed((self.seed,))  # one integer: each epoch's shuffle is seeded [seed, epoch]
 
 
 @dataclass(frozen=True)
@@ -88,6 +86,11 @@ class MetricRow:
     def as_csv(self) -> str:
         acc = "" if self.accuracy is None else repr(self.accuracy)
         return f"{self.epoch},{self.split},{repr(self.loss)},{acc}"
+
+    def __str__(self) -> str:
+        """The split and loss, and the accuracy in count mode, as the CLI prints them."""
+        acc = "" if self.accuracy is None else f", accuracy {self.accuracy:.4f}"
+        return f"{self.split} loss {self.loss:.6g}{acc}"
 
 
 METRICS_HEADER = "epoch,split,loss,accuracy"
@@ -104,18 +107,14 @@ def _sample_pass(net: Network, sample, cfg: TrainConfig, with_grads: bool, out=N
 
     Returns (loss, correct_or_None, grads_or_None).
     """
-    train, label = sample
+    train, target = sample
     cache = forward(net, train)
-    if cfg.loss.mode == "precise":
-        e = output_error(net, cache, cfg.loss, target=label)
-        correct = None
-    else:
-        e = output_error(net, cache, cfg.loss, label=int(label))
-        predicted = classify(cache.spikes[-1], cfg.loss.interval, net.sim)
-        correct = predicted == int(label)
-    loss = loss_value(e)
+    e = output_error(net, cache, cfg.loss, target)
+    correct = None
+    if cfg.loss.mode == "count":
+        correct = classify(cache.spikes[-1], cfg.loss.interval, net.sim) == target
     grads = backward(net, cache, e, cfg.surrogate, out=out) if with_grads else None
-    return loss, correct, grads
+    return loss_value(e), correct, grads
 
 
 def _run_samples(net: Network, samples, cfg: TrainConfig, with_grads: bool, out=None):
@@ -134,6 +133,17 @@ def _run_samples(net: Network, samples, cfg: TrainConfig, with_grads: bool, out=
         yield from pool.map(lambda s: _sample_pass(net, s, cfg, with_grads), samples)
 
 
+def _metric_row(scores, dataset: Dataset, cfg: TrainConfig, epoch: int, split: str) -> MetricRow:
+    """The row of a pass over ``dataset`` from its samples' (loss, correct)
+    ``scores``: the mean loss, summed in sample order, and the accuracy in count mode."""
+    total_loss, total_correct = 0.0, 0
+    for loss, correct in scores:
+        total_loss += loss
+        total_correct += bool(correct)
+    accuracy = total_correct / len(dataset) if cfg.loss.mode == "count" else None
+    return MetricRow(epoch, split, total_loss / len(dataset), accuracy)
+
+
 def train_epoch(
     net: Network,
     dataset: Dataset,
@@ -150,8 +160,7 @@ def train_epoch(
     if not dataset.samples:
         raise ParameterError("cannot train on an empty dataset")
     order = np.random.default_rng([cfg.seed, epoch]).permutation(len(dataset))
-    total_loss = 0.0
-    total_correct = 0
+    scores = []
     # The first batch gives each sample new gradient arrays, and later
     # batches write into the last of them.  A buffer allocated up front
     # instead took nmnist_mlp from about 25 k to 250 k minor page faults
@@ -162,14 +171,12 @@ def train_epoch(
     for start in range(0, len(order), cfg.batch_size):
         batch = [dataset.samples[i] for i in order[start : start + cfg.batch_size]]
         for loss, correct, grads in _run_samples(net, batch, cfg, True, buffer):
-            total_loss += loss
-            total_correct += bool(correct)
+            scores.append((loss, correct))
             mean.absorb(grads, 1.0 / len(batch))
         buffer = grads
         step(optim_state, net, mean)
         mean.clear()
-    accuracy = total_correct / len(dataset) if cfg.loss.mode == "count" else None
-    return MetricRow(epoch, "train", total_loss / len(dataset), accuracy)
+    return _metric_row(scores, dataset, cfg, epoch, "train")
 
 
 def evaluate(
@@ -182,13 +189,8 @@ def evaluate(
     """Loss (and accuracy in count mode) without touching parameters."""
     if not dataset.samples:
         raise ParameterError("cannot evaluate an empty dataset")
-    total_loss = 0.0
-    total_correct = 0
-    for loss, correct, _ in _run_samples(net, dataset.samples, cfg, False):
-        total_loss += loss
-        total_correct += bool(correct)
-    accuracy = total_correct / len(dataset) if cfg.loss.mode == "count" else None
-    return MetricRow(epoch, split, total_loss / len(dataset), accuracy)
+    passes = _run_samples(net, dataset.samples, cfg, False)
+    return _metric_row(((loss, correct) for loss, correct, _ in passes), dataset, cfg, epoch, split)
 
 
 def write_metrics(path: str | Path, rows, append: bool = False) -> None:

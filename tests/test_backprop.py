@@ -127,7 +127,7 @@ def test_output_error_dispatches_count():
     net = _toy_net()
     cache = forward(net, _poisson_in(net, 120.0, 0))
     spec = LossSpec("count", 6.0, 2.0, (0.0, 25.0))
-    got = output_error(net, cache, spec, label=1)
+    got = output_error(net, cache, spec, 1)
     want = error_count(cache.spikes[-1], spec.desired_counts(1, 2), (0.0, 25.0), net.sim)
     np.testing.assert_array_equal(got.values, want.values)
 
@@ -138,7 +138,7 @@ def test_output_error_rejects_a_label_outside_the_output_layer(label):
     net = _toy_net()
     cache = forward(net, _poisson_in(net, 120.0, 0))
     with pytest.raises(ParameterError, match=f"label {label} outside 0..1"):
-        output_error(net, cache, LossSpec("count", 6.0, 2.0, (0.0, 25.0)), label=label)
+        output_error(net, cache, LossSpec("count", 6.0, 2.0, (0.0, 25.0)), label)
 
 
 def test_delta_layer_zero_error_gives_zero():
@@ -375,7 +375,7 @@ def _fd_sample(net, spec, seed):
     if spec.mode == "precise":
         target = poisson_spike_train(net.layer_sizes[-1], 80.0, net.sim, [seed, 2])
         return spikes, {"target": target}
-    return spikes, {"label": seed % net.layer_sizes[-1]}
+    return spikes, {"target": seed % net.layer_sizes[-1]}
 
 
 @_FD_SPECS
@@ -473,7 +473,7 @@ def test_count_mode_backward_runs_on_hard_cache():
     net = _toy_net(seed=6)
     cache = forward(net, _poisson_in(net, 200.0, 8))
     spec = LossSpec("count", 6.0, 2.0, (0.0, 25.0))
-    e_out = output_error(net, cache, spec, label=0)
+    e_out = output_error(net, cache, spec, 0)
     grads = backward(net, cache, e_out, SurrogateConfig(10.0, 0.05))
     for t in range(net.n_transitions):
         assert np.all(np.isfinite(grads.weights[t]))
@@ -497,7 +497,7 @@ def test_forward_caches_stay_read_only_through_backward(arch):
     surrogate = SurrogateConfig(10.0, 0.05)
     spec = LossSpec("count", 6.0, 2.0, (0.0, 25.0))
     for cache in (forward(net, x), soft_forward(net, x, surrogate)):
-        e_out = output_error(net, cache, spec, label=0)
+        e_out = output_error(net, cache, spec, 0)
         backward(net, cache, e_out, surrogate)
         signals = cache.spikes + cache.potentials + cache.responses
         arrays = [s.values for s in signals if s is not None]
@@ -546,8 +546,8 @@ def test_pooled_aggregation_errors_give_the_materialized_gradients(arch, soft, m
     surrogate = SurrogateConfig.for_theta(net.neuron.theta)
     cache = soft_forward(net, x, surrogate) if soft else forward(net, x)
     spec = LossSpec("precise") if mode == "precise" else LossSpec("count", 6.0, 2.0, (0.0, 30.0))
-    target = poisson_spike_train(net.layer_sizes[-1], 60.0, net.sim, 5)
-    e_out = output_error(net, cache, spec, target=target, label=1)
+    target = poisson_spike_train(net.layer_sizes[-1], 60.0, net.sim, 5) if mode == "precise" else 1
+    e_out = output_error(net, cache, spec, target)
     weights, delays = _materialized_backward(net, cache, e_out, surrogate)
     grads = backward(net, cache, e_out, surrogate)
     pooled = [t for t, layer in enumerate(net.spec.layers[1:]) if layer.kind == "aggregate"]

@@ -7,6 +7,7 @@ import pytest
 
 import spikenet.backprop
 import spikenet.cli
+import spikenet.losses
 from spikenet import (
     SimConfig,
     load_config,
@@ -349,13 +350,13 @@ def test_gradcheck_checks_a_count_config_under_the_count_loss(tmp_path, capsys, 
     """A [loss] count config builds a count error for the analytic pass
     and for both probes of each of the 4-6-3 net's 52 parameters."""
     desired = []
-    real = spikenet.backprop.error_count
+    real = spikenet.losses.error_count
 
     def recorded(s_out, counts, interval, config):
         desired.append(sorted(counts))
         return real(s_out, counts, interval, config)
 
-    monkeypatch.setattr(spikenet.backprop, "error_count", recorded)
+    monkeypatch.setattr(spikenet.losses, "error_count", recorded)
     cfg = tmp_path / "gc.cfg"
     cfg.write_text(_GRADCHECK_CFG + "\n[loss]\nmode = count\ntrue_count = 5\nfalse_count = 1\n")
     code = main(["gradcheck", "--config", str(cfg)])

@@ -124,6 +124,10 @@ def test_kernels_errors(tmp_path, build, error, message):
     ("count-desired-shape",
      lambda _: error_count(_cache(_net()).spikes[-1], np.zeros(3), (0.0, 25.0), _SIM),
      ShapeError, r"desired counts shape \(3,\) != \(2,\)"),
+    ("precise-given-a-label", lambda _: output_error(_net(), _cache(_net()), LossSpec("precise"), 1),
+     ParameterError, "^precise loss needs a target spike train$"),
+    ("count-given-a-train", lambda _: output_error(_net(), _cache(_net()), _COUNT, SpikeTrain(2)),
+     ParameterError, "^count loss needs a label$"),
 )
 def test_losses_errors(tmp_path, build, error, message):
     _raises(tmp_path, build, error, message)
@@ -224,6 +228,12 @@ def _events_file(tmp_path, name, data):
      ParameterError, "rate_hz must be >= 0"),
     ("poisson-nan-rate", lambda _: poisson_spike_train(2, np.nan, _SIM, 0),
      ParameterError, "rate_hz must be >= 0 and finite, got nan"),
+    ("poisson-fractional-seed", lambda _: poisson_spike_train(2, 10.0, _SIM, 1.5),
+     ParameterError, r"^seed must be an integer >= 0, got 1\.5$"),
+    ("poisson-fractional-seed-entry", lambda _: poisson_spike_train(2, 10.0, _SIM, [1, 2.5]),
+     ParameterError, r"^seed must be an integer >= 0, got 2\.5$"),
+    ("poisson-text-seed", lambda _: poisson_spike_train(2, 10.0, _SIM, "3"),
+     ParameterError, "^seed must be an integer >= 0, got '3'$"),
     ("csv-without-header", lambda p: _events_file(p, "e.csv", "0,1.5,0\n"),
      ParseError, "e.csv: line 1: expected header 'neuron,time_ms,label'"),
     ("slyr-truncated-header", lambda p: _events_file(p, "e.slyr", b"SLYR\x01"),
@@ -256,6 +266,13 @@ def test_signals_errors(tmp_path, build, error, message):
      ParseError, "malformed conv token '0c3'"),
     ("zero-aggregation-block", lambda _: parse_architecture("4x4-0a-2"),
      ParseError, "malformed aggregation token '0a'"),
+    ("init-fractional-seed", lambda _: init_network(parse_architecture("3-2"), _NEURON, _SIM, 1.5),
+     ParameterError, r"^seed must be an integer >= 0, got 1\.5$"),
+    ("init-fractional-seed-entry",
+     lambda _: init_network(parse_architecture("3-2"), _NEURON, _SIM, [1, 2.5]),
+     ParameterError, r"^seed must be an integer >= 0, got 2\.5$"),
+    ("init-text-seed", lambda _: init_network(parse_architecture("3-2"), _NEURON, _SIM, "3"),
+     ParameterError, "^seed must be an integer >= 0, got '3'$"),
 )
 def test_topology_errors(tmp_path, build, error, message):
     _raises(tmp_path, build, error, message)
@@ -285,6 +302,12 @@ _COUNT_OFFSET = 4 + 2 + 4 + len("3-4-2") + 6 * 8
      ParameterError, "epochs must be >= 0, batch_size and threads must be >= 1"),
     ("negative-cadence", lambda _: _train_config(eval_every=-1),
      ParameterError, "cadences must be nonnegative"),
+    ("fractional-seed", lambda _: _train_config(seed=1.5),
+     ParameterError, r"^seed must be an integer >= 0, got 1\.5$"),
+    ("sequence-seed", lambda _: _train_config(seed=[1, 2]),
+     ParameterError, r"^seed must be an integer >= 0, got \[1, 2\]$"),
+    ("no-seed", lambda _: _train_config(seed=None),
+     ParameterError, "^seed must be an integer >= 0, got None$"),
     ("train-on-nothing", lambda _: train_epoch(_net(), Dataset([]), _train_config(),
                                                OptimizerState(), 1),
      ParameterError, "cannot train on an empty dataset"),

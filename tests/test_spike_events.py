@@ -139,7 +139,7 @@ def _forward_backward(net, train):
     cache = forward(net, train)
     interval = (0.0, net.sim.t_ms)
     spec = LossSpec(mode="count", true_count=5.0, false_count=1.0, interval=interval)
-    e = output_error(net, cache, spec, label=1)
+    e = output_error(net, cache, spec, 1)
     return cache, backward(net, cache, e, SurrogateConfig.for_theta(net.neuron.theta))
 
 

@@ -27,6 +27,7 @@ from spikenet import (
     forward,
     init_network,
     load_checkpoint,
+    loss_value,
     output_error,
     parse_architecture,
     poisson_spike_train,
@@ -235,6 +236,45 @@ def test_evaluate_is_pure_and_repeatable():
         np.testing.assert_array_equal(p.weights, w)
 
 
+@pytest.mark.parametrize("mode", ["precise", "count"])
+def test_evaluate_loss_is_the_sample_order_mean_of_the_losses(mode):
+    net = _net(seed=5)
+    data = _precise_dataset(net, seed=7) if mode == "precise" else _count_dataset(net, seed=7)
+    cfg = _cfg(1, mode=mode)
+    total = 0.0
+    for x, target in data.samples:
+        total += loss_value(output_error(net, forward(net, x), cfg.loss, target))
+    assert evaluate(net, data, cfg).loss == total / len(data)
+
+
+def test_count_accuracy_is_the_float_share_of_samples_classified_right():
+    net = _net(seed=5, arch="6-5-3")
+    data = _count_dataset(net, n=9, seed=7)
+    cfg = _cfg(1, mode="count")
+    right = [classify(forward(net, x).spikes[-1], cfg.loss.interval, net.sim) == label
+             for x, label in data.samples]
+    accuracy = evaluate(net, data, cfg).accuracy
+    assert type(accuracy) is float
+    assert accuracy == sum(right) / len(data)
+    assert 0 < sum(right) < len(data)
+
+
+def test_int64_labels_write_the_metrics_of_int_labels(tmp_path):
+    """numpy 2 writes an np.float64 accuracy as "np.float64(...)", so a
+    numpy scalar reaching a row would change the file."""
+    files = []
+    for cast in (int, np.int64):
+        net = _net(seed=6)
+        data = _count_dataset(net, seed=8)
+        data = Dataset([(x, cast(label)) for x, label in data.samples], data.class_count)
+        out = tmp_path / cast.__name__
+        cfg = _cfg(2, mode="count", eval_every=1)
+        train(net, OptimizerState.adam(learning_rate=0.002), data, cfg, out_dir=out, eval_set=data)
+        files.append((out / "metrics.csv").read_bytes())
+    assert files[0] == files[1]
+    assert b"np." not in files[0]
+
+
 def test_metrics_file_layout(tmp_path):
     net = _net(seed=6)
     data = _count_dataset(net, seed=8)
@@ -290,6 +330,13 @@ def test_write_metrics_append(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[2] == "2,train,1.25,"
+
+
+def test_a_metric_row_prints_its_split_loss_and_accuracy():
+    from spikenet.trainer import MetricRow
+
+    assert str(MetricRow(3, "eval", 1234567.0, 0.25)) == "eval loss 1.23457e+06, accuracy 0.2500"
+    assert str(MetricRow(3, "train", 0.5, None)) == "train loss 0.5"
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -72,7 +72,7 @@ def _fresh(net):
 
 def _pass(net, train, spec=SPEC):
     cache = forward(net, train)
-    e = output_error(net, cache, spec, label=1)
+    e = output_error(net, cache, spec, 1)
     return cache, backward(net, cache, e, SurrogateConfig.for_theta(net.neuron.theta))
 
 
@@ -124,8 +124,8 @@ def test_finite_difference_probes_are_seen(kind, scatter):
     surrogate = SurrogateConfig.for_theta(net.neuron.theta)
     spec = LossSpec(mode="count", true_count=2.0, false_count=1.0, interval=(0.0, 12.0))
     _pass(net, train, spec)
-    got = finite_diff_gradients(net, train, spec, surrogate, label=1)
-    want = finite_diff_gradients(_fresh(net), train, spec, surrogate, label=1)
+    got = finite_diff_gradients(net, train, spec, surrogate, target=1)
+    want = finite_diff_gradients(_fresh(net), train, spec, surrogate, target=1)
     for a, b in zip(got.weights + got.delays, want.weights + want.delays):
         if a is not None:
             np.testing.assert_array_equal(a, b)
@@ -207,7 +207,7 @@ def test_no_response_is_kept_for_an_aggregation(soft):
     kinds = [layer.kind for layer in net.spec.layers[1:]]
     assert kinds == ["conv", "aggregate", "aggregate", "dense"]
     assert [r is None for r in cache.responses] == [k == "aggregate" for k in kinds]
-    e = output_error(net, cache, SPEC, label=1)
+    e = output_error(net, cache, SPEC, 1)
     grads = backward(net, cache, e, SurrogateConfig.for_theta(net.neuron.theta))
     assert [w is None for w in grads.weights] == [k == "aggregate" for k in kinds]
 
@@ -223,7 +223,7 @@ def _backward_peak(arch, t_ms):
     spec = LossSpec(mode="count", true_count=5.0, false_count=1.0, interval=(0.0, t_ms))
     surrogate = SurrogateConfig.for_theta(net.neuron.theta)
     cache = forward(net, train)
-    e = output_error(net, cache, spec, label=1)
+    e = output_error(net, cache, spec, 1)
     grads = backward(net, cache, e, surrogate)
     tracemalloc.start()
     try:
