@@ -16,17 +16,16 @@ pass computes the exact gradient of the precise or count loss, which
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ShapeError, require_positive
 from .forward import SignalCache, SurrogateConfig, forward
-from .kernels import Kernel, Workspace, convolve_values, correlate_values, correlate_view, workspace
+from .kernels import Kernel, Workspace, convolve_values, correlate_values, pool_correlate, workspace
 from .losses import LossSpec, loss_value, output_credit, output_error
 from .signals import SampledSignal, SpikeEvents, SpikeTrain
-from .topology import Network, adjoint_linear, block_view, weight_gradient
+from .topology import Network, adjoint_linear, pool_rows, weight_gradient
 
 _RHO_BLOCK = 1 << 14  # samples of rho built at a time, so none is the size of a signal
 
@@ -93,17 +92,11 @@ def delta_layer(
     The correlation pulls error from later bins back to the bins whose
     spikes caused it, shifted by the layer's own outgoing delays.  The
     credit is built in place in the correlation, so it lives in ``work``
-    when that is given, valid until its next use.  The values of ``e`` may
-    also be a frozen aggregation's pooled error spread over its blocks
-    (:func:`spikenet.topology.block_view`), which is read in place.
+    when that is given, valid until its next use.
     """
-    values = e.values
-    if (math.prod(values.shape[:-1]), values.shape[-1]) != u.values.shape:
-        raise ShapeError(f"error shape {values.shape} != potential {u.values.shape}")
-    if values.ndim == 2:
-        credit = correlate_values(values, epsilon, delays, work)
-    else:
-        credit = correlate_view(values, epsilon, delays, work)
+    if e.values.shape != u.values.shape:
+        raise ShapeError(f"error shape {e.values.shape} != potential {u.values.shape}")
+    credit = correlate_values(e.values, epsilon, delays, work)
     return SampledSignal._adopt(_times_rho(credit, u.values, theta, cfg), e.ts_ms)
 
 
@@ -120,13 +113,10 @@ def delay_gradient(
     Moving a delay later shifts the response right; the sign makes the
     gradient point toward increasing loss as delays grow.  ``work`` is the
     workspace, as in :func:`convolve_values`; ``out`` receives the result.
-    The values of ``e`` may be a spread pooled error, as in
-    :func:`delta_layer`.
     """
     source = s if isinstance(s, SpikeEvents) else s.values
     adot = convolve_values(source, epsilon_dot, delays, work, keep=False)
-    product = adot.reshape(e.values.shape)  # a view: adot is C-contiguous
-    product *= e.values
+    adot *= e.values
     out = adot.sum(axis=1, out=out)
     out *= -epsilon_dot.ts_ms
     return out
@@ -144,6 +134,9 @@ def backward(
 
     The gradients are written into ``out`` (laid out as
     :meth:`Gradients.zeros_like`) when it is given, else into new arrays.
+    A frozen aggregation's error stays pooled: :func:`pool_correlate`
+    filters it once per pooled neuron for the delay gradient and the
+    source layer's credit.
     """
     n_t = net.n_transitions
     u_out = cache.potentials[n_t]
@@ -162,18 +155,21 @@ def backward(
             grads.weights[t] = weight_gradient(
                 net, t, delta, cache.responses[t], grads.weights[t]
             )
-            # a credit may live in the workspace: weight_gradient and the
-            # error read it before delay_gradient takes the workspace again,
-            # so the error owns its memory.  A frozen aggregation's stays
-            # pooled, one copy of the credit spread over its blocks by a view.
+            delays, source = net.params[t].delays, cache.spikes[t]
             if net.spec.layers[t + 1].kind == "aggregate":
-                e = SampledSignal._adopt(block_view(net, t, delta.values.copy()), ts)
-            else:
-                e = adjoint_linear(net, t, delta)
-            delays = net.params[t].delays
-            grads.delays[t] = delay_gradient(
-                e, cache.spikes[t], eps_dot, delays, grads.delays[t], work
-            )
+                source = source if isinstance(source, SpikeEvents) else source.values
+                grads.delays[t], credit = pool_correlate(
+                    delta.values, source, pool_rows(net, t), epsilon, eps_dot,
+                    net.neuron.tau_s, delays, grads.delays[t], work, credit=t > 0,
+                )
+                if t > 0:
+                    u = cache.potentials[t].values
+                    delta = SampledSignal._adopt(_times_rho(credit, u, theta, surrogate), ts)
+                continue
+            # a credit may live in the workspace: weight_gradient and the
+            # adjoint read it before delay_gradient takes the workspace again
+            e = adjoint_linear(net, t, delta)
+            grads.delays[t] = delay_gradient(e, source, eps_dot, delays, grads.delays[t], work)
             if t > 0:
                 u = cache.potentials[t]
                 delta = delta_layer(e, u, epsilon, delays, theta, surrogate, work)

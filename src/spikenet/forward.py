@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError, require_positive
-from .kernels import Kernel, convolve_values, workspace
+from .kernels import Kernel, convolve_values, pool_convolve, workspace
 from .signals import SampledSignal, SpikeEvents, SpikeTrain, event_bins, spikes_to_signal
-from .topology import Network, apply_linear
+from .topology import Network, apply_linear, pool_rows, require_finite_potential
 
 @dataclass(frozen=True)
 class SurrogateConfig:
@@ -181,19 +181,22 @@ def forward(
     epsilon, nu, theta = net.epsilon, net.nu, net.neuron.theta
     with workspace() as work:
         for t in range(net.n_transitions):
-            # a frozen aggregation's response is read only by its own map,
-            # so it is built in the workspace and not kept
-            frozen = net.spec.layers[t + 1].kind == "aggregate"
             delays = net.params[t].delays
             if not np.isfinite(delays).all():
                 c = np.flatnonzero(~np.isfinite(delays))[0]
                 raise NumericError(f"non-finite delay in transition {t} at neuron {c}")
             source = cache.spikes[t]
             source = source if isinstance(source, SpikeEvents) else source.values
-            response = convolve_values(source, epsilon, delays, work, keep=not frozen)
-            a = SampledSignal._adopt(response, s.ts_ms)
-            cache.responses.append(None if frozen else a)
-            u = apply_linear(net, t, a)
+            if net.spec.layers[t + 1].kind == "aggregate":
+                # a frozen sum-pooling: filtered after pooling, keeping no response
+                rows, n_rows = pool_rows(net, t), net.layer_sizes[t + 1]
+                u = pool_convolve(source, rows, n_rows, epsilon, net.neuron.tau_s, delays)
+                u = require_finite_potential(t, u)
+                cache.responses.append(None)
+            else:
+                a = SampledSignal._adopt(convolve_values(source, epsilon, delays, work), s.ts_ms)
+                cache.responses.append(a)
+                u = apply_linear(net, t, a)
             if surrogate is None:
                 s_next, u_next = simulate_layer(u, nu, theta)
             else:

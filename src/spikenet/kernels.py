@@ -15,7 +15,9 @@ Axonal delays shift a kernel by re-evaluating the closed form at
 fractional ``d`` and stays differentiable in ``d``.  ``convolve`` is the
 forward (past-looking) operator and ``correlate`` its future-looking
 adjoint; both approximate time integrals as Ts-weighted sums and are
-exact transposes of each other on the truncated window.
+exact transposes of each other on the truncated window.  A frozen
+sum-pooling of their results filters after pooling instead
+(:func:`delay_mix`, :func:`pool_convolve`, :func:`pool_correlate`).
 """
 
 from __future__ import annotations
@@ -223,11 +225,10 @@ def workspace():
 
 
 def _windows(x: np.ndarray, width: int, taps: int) -> np.ndarray:
-    """The (..., width, taps) windows x[..., n : n + taps], n < width, read in place."""
-    shape, strides = x.shape[:-1] + (width, taps), x.strides + x.strides[-1:]
-    if x.ndim == 2:  # C-contiguous here, where a buffer view costs a fifth of as_strided
-        return np.ndarray(shape, x.dtype, x, 0, strides)
-    return np.lib.stride_tricks.as_strided(x, shape, strides, writeable=False)
+    """The (channels, width, taps) windows x[:, n : n + taps], n < width, of a
+    C-contiguous ``x``, read in place (a buffer view costs a fifth of as_strided)."""
+    shape, strides = (len(x), width, taps), x.strides + x.strides[-1:]
+    return np.ndarray(shape, x.dtype, x, 0, strides)
 
 
 def _window_sum(values, table: np.ndarray, work: Workspace, keep: bool, lead: bool):
@@ -236,12 +237,9 @@ def _window_sum(values, table: np.ndarray, work: Workspace, keep: bool, lead: bo
 
     Only the taps - 1 outputs whose windows reach into the zeros read a
     padded copy of 2 * (taps - 1) samples per row; the rest read ``values``
-    in place.  ``values`` is (channels, n_samples), or a (..., n_samples)
-    view whose leading axes flatten in C order to the channels, such as a
-    pooled error spread over its blocks with stride 0: the work arrays
-    then take the view's axes, so it is never materialized.  It may also
-    be :class:`SpikeEvents`, whose raster is built in ``work``.  The
-    (channels, n_samples) result lives in ``work`` unless ``keep``.
+    in place.  ``values`` is (channels, n_samples), or :class:`SpikeEvents`,
+    whose raster is built in ``work``.  The (channels, n_samples) result
+    lives in ``work`` unless ``keep``.
     """
     (channels, taps), n_samples = table.shape, values.shape[-1]
     inner = n_samples - taps + 1  # outputs whose windows lie inside values
@@ -251,22 +249,16 @@ def _window_sum(values, table: np.ndarray, work: Workspace, keep: bool, lead: bo
     shapes += [(channels, n_samples)] if raster else []
     taps_copy, edge, *rest = work.take(*((shape, np.float64) for shape in shapes))
     taps_copy[...] = table  # contiguous: a reversed view makes einsum 1.5x slower
-    if raster:
-        values = values.fill(rest.pop())
+    values = values.fill(rest.pop()) if raster else np.ascontiguousarray(values)
     out = np.empty((channels, n_samples)) if keep else rest[0]
     edge.fill(0.0)
-    if values.ndim == 2:
-        values = np.ascontiguousarray(values)
-        pad, full, kd = edge, out, taps_copy
-    else:
-        pad, full, kd = (a.reshape(values.shape[:-1] + (-1,)) for a in (edge, out, taps_copy))
     if lead:
-        pad[..., taps - 1 :] = values[..., : taps - 1]
-        body, rim = full[..., taps - 1 :], out[:, : taps - 1]
+        edge[:, taps - 1 :] = values[:, : taps - 1]
+        body, rim = out[:, taps - 1 :], out[:, : taps - 1]
     else:
-        pad[..., : taps - 1] = values[..., inner:]
-        body, rim = full[..., :inner], out[:, inner:]
-    np.einsum("...nj,...j->...n", _windows(values, inner, taps), kd, out=body)
+        edge[:, : taps - 1] = values[:, inner:]
+        body, rim = out[:, :inner], out[:, inner:]
+    np.einsum("cnj,cj->cn", _windows(values, inner, taps), taps_copy, out=body)
     np.einsum("cnj,cj->cn", _windows(edge, taps - 1, taps), taps_copy, out=rim)
     return out
 
@@ -327,20 +319,203 @@ def correlate_values(values, kernel: Kernel, delays, work=None) -> np.ndarray:
 
     The result lives in ``work``, a :class:`Workspace` as in
     :func:`convolve_values`, valid until its next use."""
-    return correlate_view(values, kernel, _delay_vector(delays, len(values)), work)
-
-
-def correlate_view(view, kernel: Kernel, delays: np.ndarray, work=None) -> np.ndarray:
-    """:func:`correlate_values` of a (..., n_samples) view whose leading axes
-    flatten in C order to the channels, read in place: a pooled error spread
-    over its blocks is correlated without being materialized.  ``delays``
-    is the (channels,) delay vector; the (channels, n_samples) result lives
-    in ``work``."""
+    delays = _delay_vector(delays, len(values))
     work = Workspace() if work is None else work
-    kd = work.delayed_taps(kernel, delays, _taps(kernel, delays, view.shape[-1]))
-    out = _window_sum(view, kd, work, False, False)
+    kd = work.delayed_taps(kernel, delays, _taps(kernel, delays, values.shape[-1]))
+    out = _window_sum(values, kd, work, False, False)
     out *= kernel.ts_ms
     return out
+
+
+def delay_mix(delays, tau: float, ts: float, n_samples: int) -> tuple:
+    """Every neuron's delayed epsilon and epsilon_dot as a mix of two shared kernels.
+
+    With d = k*Ts + f, 0 <= f < Ts, and x = (Ts - f)/tau, tap j of either
+    delayed kernel is, on lags 1 <= i = j - k < L, L the kernel's own
+    sample count (it is zero past them),
+
+        eps(j*Ts - d)     = A*h1(i) + B*h2(i),          A = e^-x, B = x*A
+        eps_dot(j*Ts - d) = (-A*h1(i) + (1 - x)*A*h2(i)) / tau
+
+    where h1(i) = eps((i - 1)*Ts) and h2(i) = e^(1 - (i - 1)*Ts/tau) are the
+    rows of :func:`mix_taps`; eps_dot adds e/tau at lag 0 where f = 0.  The
+    kernels are shifted by one lag so that no factor exceeds e: Ts >> tau
+    cannot overflow.  The integer shift k is not a kernel property but a
+    move of each event by k bins, so all neurons share the two kernels
+    whatever their delays, and a frozen sum over neurons commutes with
+    them: :func:`pool_convolve` and :func:`pool_correlate` put each
+    neuron's mix into its events' weights and its shift into their bins,
+    then filter once per pooled row.
+
+    Returns the shifts k (capped at n_samples, as nothing lands in the
+    window from there on), (A, B), and eps_dot's two coefficients and its
+    lag-0 term.
+    Delays below -Ts, whose kernels would lose taps before lag 0, raise.
+    """
+    d = np.asarray(delays, dtype=float)
+    k = np.floor(d / ts)
+    if (k < -1).any():
+        c = int(np.argmax(k < -1))
+        raise ParameterError(f"delay {float(d[c])!r} of neuron {c} is below -Ts = {-ts!r}")
+    # Ts - f as the time of lag 1, (k + 1)*Ts - d: no cancellation in f
+    x = np.where(k >= n_samples, 0.0, ((k + 1.0) * ts - d) / tau)
+    a = np.exp(-x)
+    shift = np.where(k < n_samples, k, n_samples).astype(np.intp)
+    lag0 = np.where(d == k * ts, np.e / tau, 0.0)
+    return shift, (a, x * a), (-a / tau, (1.0 - x) * a / tau, lag0)
+
+
+def mix_taps(tau: float, ts: float, length: int) -> np.ndarray:
+    """(2, length) kernels h1(i) = eps((i - 1)*Ts) and h2(i) = e^(1 - (i - 1)*Ts/tau)
+    of :func:`delay_mix` on lags i < length, zero at lag 0."""
+    y = np.arange(length - 1) * ts / tau
+    taps = np.zeros((2, length))
+    np.exp(1.0 - y, out=taps[1, 1:])
+    np.multiply(y, taps[1, 1:], out=taps[0, 1:])
+    return taps
+
+
+_FILTER_BLOCK = 50  # output bins per GEMM of the banded Toeplitz filters
+
+
+def _banded(x: np.ndarray, taps: np.ndarray, out: np.ndarray, causal: bool) -> None:
+    """Filter the slots of ``x`` with the (K, L) ``taps`` into ``out`` by
+    banded Toeplitz GEMMs over blocks of bins: out[:, q] reads x from slot
+    q + 1 on.  Causal, x is (rows, slots, K), the sums of K kernels, and
+    out[:, q] = sum_k,i taps[k, i] * x[:, q + L - i, k]; anticausal, x is
+    (rows, slots) and out[:, q, k] = sum_i taps[k, i] * x[:, q + i]."""
+    kinds, lags = taps.shape
+    lag = np.subtract.outer(np.arange(_FILTER_BLOCK + lags - 1), np.arange(_FILTER_BLOCK))
+    lag = lags - 1 - lag if causal else lag + 1
+    inside = (lag >= 0) & (lag < lags)
+    table = np.where(inside, taps[:, np.where(inside, lag, 0)], 0.0)  # (K, rows, columns)
+    # (window slot, kernel in, output bin, kernel out)
+    table = table.transpose(1, 0, 2)[..., None] if causal else table.transpose(1, 2, 0)[:, None]
+    table = np.ascontiguousarray(table)
+    k_in, k_out = table.shape[1], table.shape[3]
+    x, out = x.reshape(len(x), -1), out.reshape(len(out), -1, k_out)
+    for s in range(0, out.shape[1], _FILTER_BLOCK):
+        m = min(_FILTER_BLOCK, out.shape[1] - s)
+        span = m + lags - 1
+        np.matmul(
+            x[:, k_in * (s + 1) : k_in * (s + 1 + span)],
+            table[:span, :, :m].reshape(span * k_in, m * k_out),
+            out=out[:, s : s + m].reshape(len(out), m * k_out),
+        )
+
+
+def _events(values) -> tuple:
+    """Flat indices (channel * n_samples + bin) and amplitudes of a signal's
+    events: those of :class:`SpikeEvents`, or every sample of an array."""
+    if isinstance(values, SpikeEvents):
+        return values.events, 1.0 / values.ts_ms if values.amplitudes is None else values.amplitudes
+    return np.arange(values.size), values.reshape(-1)
+
+
+def pool_convolve(values, rows, n_rows: int, kernel: Kernel, tau: float, delays) -> np.ndarray:
+    """out[p] = sum of convolve_values(values, kernel, delays)[c] over the
+    channels c with rows[c] = p, a new (n_rows, n_samples) array, where
+    ``kernel`` is the spike response kernel of time constant ``tau``.
+
+    Each event of channel c at bin b adds its amplitude times A_c and B_c
+    (:func:`delay_mix`) to two sums at row rows[c], bin b + k_c, which are
+    then filtered causally with h1 and h2.
+    """
+    channels, n = values.shape
+    ts, lags = kernel.ts_ms, len(kernel.samples)
+    shift, (a, b), _ = delay_mix(delays, tau, ts, n)
+    # slot s of a sum holds bin s - lags: room for the taps' history and every shift
+    width = n + lags + max(int(shift.max()), 0)
+    events, amplitudes = _events(values)
+    c = events // n
+    index = 2 * (events + (rows * width - np.arange(channels) * n + shift + lags)[c])
+    sums = np.bincount(
+        np.concatenate((index, index + 1)),
+        np.concatenate((a[c] * amplitudes, b[c] * amplitudes)),
+        minlength=2 * n_rows * width,
+    )
+    out = np.empty((n_rows, n))
+    # bincount counts in integers when there are no events
+    sums = sums.astype(np.float64, copy=False).reshape(n_rows, width, 2)
+    _banded(sums, mix_taps(tau, ts, lags) * ts, out, causal=True)
+    return out
+
+
+_ROW_BLOCK = 1 << 16  # samples of a pooled credit spread at a time
+
+
+def pool_correlate(
+    e: np.ndarray,
+    values,
+    rows: np.ndarray,
+    epsilon: Kernel,
+    epsilon_dot: Kernel,
+    tau: float,
+    delays,
+    out=None,
+    work=None,
+    credit=True,
+) -> tuple:
+    """Delay gradient and credit of the channels pooled by ``rows``, from
+    their pooled error ``e`` (n_rows, n_samples).
+
+    The gradient (into ``out``) is -Ts * sum_n a[c, n] * e[rows[c], n], with
+    a = convolve_values(values, epsilon_dot, delays); the credit is
+    correlate_values(e[rows], epsilon, delays), in ``work`` as there, or
+    None without ``credit``.  ``e`` is filtered once, anticausally, with
+    the kernels of :func:`delay_mix`, truncated as epsilon and, where that
+    differs, as epsilon_dot.  The gradient gathers the results at each
+    event's row and shifted bin; the credit spreads them over the
+    channels, each read from its shifted bins.
+    """
+    n_rows, n = e.shape
+    channels, ts = len(rows), epsilon.ts_ms
+    shift, (a, b), (a_dot, b_dot, lag0) = delay_mix(delays, tau, ts, n)
+    lengths = len(epsilon.samples), len(epsilon_dot.samples)
+    taps = np.zeros((2 * len(set(lengths)), max(lengths)))
+    taps[:2, : lengths[0]] = mix_taps(tau, ts, lengths[0])
+    taps[-2:, : lengths[1]] = mix_taps(tau, ts, lengths[1])
+    kinds, lags = taps.shape
+    # slot s of the filtered sums and of the padded error holds bin s - 1
+    width = n + max(lags, max(int(shift.max()), 0) + 1)
+    padded = np.zeros((n_rows, width))
+    padded[:, 1 : n + 1] = e  # e may live in work
+    work = Workspace() if work is None else work
+    block = max(1, _ROW_BLOCK // n)
+    shapes = [((n_rows, width, kinds), np.float64)]
+    if credit:
+        shapes += [((channels, n), np.float64), ((block, n), np.intp)]
+        shapes += [((block, n, kinds), np.float64)]
+    filtered, *scratch = work.take(*shapes)
+    filtered[:, n:] = 0.0
+    _banded(padded, taps * ts, filtered[:, :n], causal=False)
+    flat = filtered.reshape(-1, kinds)
+    start = rows * width + shift + 1  # the slot of each channel's bin 0
+    events, amplitudes = _events(values)
+    c = events // n
+    at = (start - np.arange(channels) * n)[c]
+    at += events
+    # per-channel sums of the gathered terms, weighted once per channel
+    out = np.empty(channels) if out is None else out
+    out.fill(0.0)
+    for coef, part in ((a_dot, flat[:, -2]), (b_dot, flat[:, -1]), (lag0, padded.reshape(-1))):
+        gathered = part[at]
+        gathered *= amplitudes
+        out += coef * np.bincount(c, gathered, minlength=channels)
+        del gathered  # before the next gather: the event arrays set the peak
+    out *= -ts
+    if not credit:
+        return out, None
+    del c, at
+    spread, index, gathered = scratch
+    mix = np.zeros((channels, kinds, 1))
+    mix[:, 0, 0], mix[:, 1, 0] = a, b
+    for c0 in range(0, channels, block):
+        m = min(block, channels - c0)
+        np.add(start[c0 : c0 + m, None], np.arange(n), out=index[:m])
+        parts = np.take(flat, index[:m], axis=0, out=gathered[:m], mode="clip")
+        np.matmul(parts, mix[c0 : c0 + m], out=spread[c0 : c0 + m, :, None])
+    return out, spread
 
 
 def _check_compatible(x: SampledSignal, kernel: Kernel, delay) -> np.ndarray:

@@ -48,7 +48,9 @@ class LossSpec:
                     raise ParameterError(f"count loss {name} must be finite, got {value!r}")
 
     def desired_counts(self, label: int, classes: int) -> np.ndarray:
-        if not (isinstance(label, (int, np.integer)) and 0 <= label < classes):
+        if not isinstance(label, (int, np.integer)):
+            raise ParameterError(f"label {label!r} is not an integer")
+        if not 0 <= label < classes:
             raise ParameterError(f"label {label} outside 0..{classes - 1}")
         desired = np.full(classes, float(self.false_count))
         desired[label] = float(self.true_count)

@@ -361,12 +361,18 @@ def apply_linear(net: Network, t: int, a: SampledSignal) -> np.ndarray:
         b = net.spec.layers[t + 1].block_size
         x = a.values.reshape(src.channels, dst.height, b, dst.width, b, -1)
         out = x.sum(axis=(2, 4)).reshape(dst.neurons, -1)
-    if not np.isfinite(out).all():
-        c, n = np.argwhere(~np.isfinite(out.reshape(dst.neurons, -1)))[0]
+    return require_finite_potential(t, out)
+
+
+def require_finite_potential(t: int, u: np.ndarray) -> np.ndarray:
+    """``u``, transition t's (neurons, n_samples) potential, unless it holds
+    a non-finite value: NumericError names its neuron and bin."""
+    if not np.isfinite(u).all():
+        c, n = np.argwhere(~np.isfinite(u))[0]
         raise NumericError(
             f"non-finite potential in transition {t} at neuron {int(c)}, bin {int(n)}"
         )
-    return out
+    return u
 
 
 def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
@@ -397,22 +403,16 @@ def adjoint_linear(net: Network, t: int, delta: SampledSignal) -> SampledSignal:
                     back[:, i + p, cols[q]] += block[:, p, q]
         out = back.reshape(src.neurons, -1)
     else:  # aggregate: each block value goes back to its inputs
-        spread = block_view(net, t, delta.values)
-        # a new array even for 1x1 blocks, where a reshape would be a view
-        out = np.empty((src.neurons, delta.n_samples))
-        out.reshape(spread.shape)[...] = spread
+        out = delta.values[pool_rows(net, t)]
     return SampledSignal._adopt(out, delta.ts_ms)
 
 
-def block_view(net: Network, t: int, pooled: np.ndarray) -> np.ndarray:
-    """The (C, H/b, b, W/b, b, bins) read-only view that repeats each row of
-    ``pooled``, (C*H/b*W/b, bins) values of aggregation t's target, over
-    its b x b source block with stride 0.  Its leading axes flatten in C
-    order to the source's neurons: :func:`adjoint_linear` materializes it."""
+def pool_rows(net: Network, t: int) -> np.ndarray:
+    """The target neuron of each source neuron of aggregation t: its block's."""
     dst = net.spec.shapes[t + 1]
     b = net.spec.layers[t + 1].block_size
-    d = pooled.reshape(dst.channels, dst.height, 1, dst.width, 1, -1)
-    return np.broadcast_to(d, (dst.channels, dst.height, b, dst.width, b, d.shape[-1]))
+    rows = np.arange(dst.neurons).reshape(dst.channels, dst.height, 1, dst.width, 1)
+    return np.broadcast_to(rows, (dst.channels, dst.height, b, dst.width, b)).reshape(-1)
 
 
 def weight_gradient(

@@ -49,11 +49,19 @@ def test_desired_counts_one_hot_mix():
     np.testing.assert_array_equal(spec.desired_counts(2, 5), [5.0, 5.0, 20.0, 5.0, 5.0])
 
 
-# 1.5 would reach numpy's indexing, which raises a bare IndexError
-@pytest.mark.parametrize("label", [-1, 5, 1.5])
+@pytest.mark.parametrize("label", [-1, 5])
 def test_desired_counts_rejects_a_label_outside_the_classes(label):
     spec = LossSpec("count", 20.0, 5.0, (0.0, 50.0))
     with pytest.raises(ParameterError, match=f"label {label} outside 0..4"):
+        spec.desired_counts(label, 5)
+
+
+# 1.5 would reach numpy's indexing, which raises a bare IndexError; 1.0
+# lies inside the classes, so "outside" would name the wrong fault
+@pytest.mark.parametrize("label", [1.5, 1.0, "3"])
+def test_desired_counts_names_a_non_integer_label(label):
+    spec = LossSpec("count", 20.0, 5.0, (0.0, 50.0))
+    with pytest.raises(ParameterError, match=rf"^label {label!r} is not an integer$"):
         spec.desired_counts(label, 5)
 
 
