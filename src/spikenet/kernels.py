@@ -375,6 +375,19 @@ def mix_taps(tau: float, ts: float, length: int) -> np.ndarray:
     return taps
 
 
+def _kernel_taps(kernel: Kernel, tau: float, dot: bool) -> np.ndarray:
+    """:func:`mix_taps` on ``kernel``'s lags, after checking that its samples
+    are epsilon (or, with ``dot``, epsilon_dot) of time constant ``tau``:
+    sample i is h1(i + 1), or (h2(i + 1) - h1(i + 1))/tau."""
+    taps = mix_taps(tau, kernel.ts_ms, len(kernel.samples))
+    want = (taps[1, 1:] - taps[0, 1:]) / tau if dot else taps[0, 1:]
+    # eps_dot's two terms cancel near its zero: compare to the largest sample
+    if np.abs(kernel.samples[:-1] - want).max(initial=0.0) > 1e-12 * np.abs(want).max(initial=0.0):
+        name = "epsilon_dot" if dot else "epsilon"
+        raise ConfigError(f"kernel is not {name} of tau_s = {tau!r} at Ts = {kernel.ts_ms!r}")
+    return taps
+
+
 _FILTER_BLOCK = 50  # output bins per GEMM of the banded Toeplitz filters
 
 
@@ -415,7 +428,8 @@ def _events(values) -> tuple:
 def pool_convolve(values, rows, n_rows: int, kernel: Kernel, tau: float, delays) -> np.ndarray:
     """out[p] = sum of convolve_values(values, kernel, delays)[c] over the
     channels c with rows[c] = p, a new (n_rows, n_samples) array, where
-    ``kernel`` is the spike response kernel of time constant ``tau``.
+    ``kernel`` must be the spike response kernel of time constant ``tau``
+    (:class:`ConfigError` otherwise).
 
     Each event of channel c at bin b adds its amplitude times A_c and B_c
     (:func:`delay_mix`) to two sums at row rows[c], bin b + k_c, which are
@@ -437,7 +451,7 @@ def pool_convolve(values, rows, n_rows: int, kernel: Kernel, tau: float, delays)
     out = np.empty((n_rows, n))
     # bincount counts in integers when there are no events
     sums = sums.astype(np.float64, copy=False).reshape(n_rows, width, 2)
-    _banded(sums, mix_taps(tau, ts, lags) * ts, out, causal=True)
+    _banded(sums, _kernel_taps(kernel, tau, dot=False) * ts, out, causal=True)
     return out
 
 
@@ -464,7 +478,8 @@ def pool_correlate(
     correlate_values(e[rows], epsilon, delays), in ``work`` as there, or
     None without ``credit``.  ``e`` is filtered once, anticausally, with
     the kernels of :func:`delay_mix`, truncated as epsilon and, where that
-    differs, as epsilon_dot.  The gradient gathers the results at each
+    differs, as epsilon_dot; both must be of time constant ``tau``
+    (:class:`ConfigError` otherwise).  The gradient gathers the results at each
     event's row and shifted bin; the credit spreads them over the
     channels, each read from its shifted bins.
     """
@@ -473,8 +488,8 @@ def pool_correlate(
     shift, (a, b), (a_dot, b_dot, lag0) = delay_mix(delays, tau, ts, n)
     lengths = len(epsilon.samples), len(epsilon_dot.samples)
     taps = np.zeros((2 * len(set(lengths)), max(lengths)))
-    taps[:2, : lengths[0]] = mix_taps(tau, ts, lengths[0])
-    taps[-2:, : lengths[1]] = mix_taps(tau, ts, lengths[1])
+    taps[:2, : lengths[0]] = _kernel_taps(epsilon, tau, dot=False)
+    taps[-2:, : lengths[1]] = _kernel_taps(epsilon_dot, tau, dot=True)
     kinds, lags = taps.shape
     # slot s of the filtered sums and of the padded error holds bin s - 1
     width = n + max(lags, max(int(shift.max()), 0) + 1)
@@ -495,9 +510,11 @@ def pool_correlate(
     c = events // n
     at = (start - np.arange(channels) * n)[c]
     at += events
-    # per-channel sums of the gathered terms, weighted once per channel
+    # per-channel sums of the gathered terms, weighted once per channel; the
+    # lag-0 term reads the raw error, so it takes the Ts the filters carry
     out = np.empty(channels) if out is None else out
     out.fill(0.0)
+    lag0 *= ts
     for coef, part in ((a_dot, flat[:, -2]), (b_dot, flat[:, -1]), (lag0, padded.reshape(-1))):
         gathered = part[at]
         gathered *= amplitudes

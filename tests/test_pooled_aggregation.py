@@ -27,7 +27,7 @@ from spikenet import (
     soft_spike,
 )
 from spikenet.backprop import _times_rho, delay_gradient, delta_layer, weight_gradient
-from spikenet.errors import ParameterError
+from spikenet.errors import ConfigError, ParameterError
 from spikenet.forward import simulate_layer
 from spikenet.kernels import (
     Workspace,
@@ -94,8 +94,8 @@ def test_a_delay_below_minus_ts_is_refused():
         delay_mix(np.array([0.0, -1.5]), 2.0, 1.0, 30)
 
 
-def _net(arch, seed=2):
-    neuron, sim = NeuronConfig(5.0, 2.0, 1.0), SimConfig(30.0, 1.0)
+def _net(arch, ts=1.0, seed=2):
+    neuron, sim = NeuronConfig(5.0, 2.0, 1.0), SimConfig(30.0, ts)
     net = init_network(parse_architecture(arch), neuron, sim, seed=seed, gain=60.0)
     for params in net.params:
         params.delays[:] = np.resize(DELAYS, params.delays.shape)
@@ -151,10 +151,11 @@ def _inputs(net):
 
 
 @pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("ts", [1.0, 0.5])
 @pytest.mark.parametrize("soft", [False, True])
 @pytest.mark.parametrize("drive", ["spiking", "silent"])
-def test_pooled_forward_is_convolve_then_pool(arch, soft, drive):
-    net = _net(arch)
+def test_pooled_forward_is_convolve_then_pool(arch, ts, soft, drive):
+    net = _net(arch, ts)
     surrogate = SurrogateConfig.for_theta(net.neuron.theta) if soft else None
     x = _inputs(net)[drive]
     cache = forward(net, x, surrogate)
@@ -166,7 +167,8 @@ def test_pooled_forward_is_convolve_then_pool(arch, soft, drive):
     for t, layer in enumerate(net.spec.layers[1:]):
         if layer.kind == "aggregate":
             source, d = _source(cache, t), net.params[t].delays
-            want = apply_linear(net, t, SampledSignal(convolve_values(source, net.epsilon, d), 1.0))
+            a = SampledSignal(convolve_values(source, net.epsilon, d), ts)
+            want = apply_linear(net, t, a)
             rows, eps, tau = pool_rows(net, t), net.epsilon, net.neuron.tau_s
             got = pool_convolve(source, rows, net.layer_sizes[t + 1], eps, tau, d)
             _assert_close(got, want)
@@ -174,10 +176,11 @@ def test_pooled_forward_is_convolve_then_pool(arch, soft, drive):
 
 
 @pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("ts", [1.0, 0.5])
 @pytest.mark.parametrize("soft", [False, True])
 @pytest.mark.parametrize("mode", ["precise", "count"])
-def test_pooled_backward_is_the_materialized_backward(arch, soft, mode):
-    net = _net(arch)
+def test_pooled_backward_is_the_materialized_backward(arch, ts, soft, mode):
+    net = _net(arch, ts)
     surrogate = SurrogateConfig.for_theta(net.neuron.theta)
     x = _inputs(net)["spiking"]
     cache = forward(net, x, surrogate if soft else None)
@@ -198,7 +201,7 @@ def test_pooled_backward_is_the_materialized_backward(arch, soft, mode):
             continue
         d = net.params[t].delays
         e = rng.normal(size=(net.layer_sizes[t + 1], net.sim.n_samples))
-        spread = adjoint_linear(net, t, SampledSignal(e, 1.0))
+        spread = adjoint_linear(net, t, SampledSignal(e, ts))
         got, credit = pool_correlate(
             e, _source(cache, t), pool_rows(net, t), net.epsilon, net.epsilon_dot,
             net.neuron.tau_s, d, work=Workspace(),
@@ -219,3 +222,14 @@ def test_a_silent_source_gives_zero_delay_gradients_and_credit():
     assert credit is None
     assert grad.dtype == np.float64
     np.testing.assert_array_equal(grad, 0.0)
+
+
+def test_a_kernel_of_another_tau_is_refused():
+    net = _net("6x6x2-3a-2c2-3")
+    cache, rows, d = forward(net, _inputs(net)["spiking"]), pool_rows(net, 0), net.params[0].delays
+    e = np.ones((net.layer_sizes[1], net.sim.n_samples))
+    with pytest.raises(ConfigError, match=r"^kernel is not epsilon of tau_s = 2.5 at Ts = 1.0$"):
+        pool_convolve(cache.spikes[0], rows, net.layer_sizes[1], net.epsilon, 2.5, d)
+    other = make_epsilon_dot(NeuronConfig(5.0, 2.5, 1.0), 1.0)
+    with pytest.raises(ConfigError, match=r"^kernel is not epsilon_dot of tau_s = 2.0 at Ts = 1.0$"):
+        pool_correlate(e, cache.spikes[0], rows, net.epsilon, other, 2.0, d, credit=False)
